@@ -1072,7 +1072,7 @@ fn usage() {
          [--config mega|small] [--fast-bypass] [--keys N] [--key-bytes N] [--seed N] \
          [--wedge K] [--max-cycles N] [--sequential] [--cancel JOB] [--status]"
     );
-    eprintln!("experiments: table1-table7 fig2-fig10 sensitivity all");
+    eprintln!("experiments: {} all", EXPERIMENTS.join(" "));
     eprintln!("--json DIR writes a machine-readable run report per experiment");
     eprintln!(
         "--faults SPEC injects microarchitectural faults into every trial; SPEC is \

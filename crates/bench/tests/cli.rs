@@ -42,6 +42,37 @@ fn bad_flags_exit_with_usage_error() {
     }
 }
 
+/// The usage text lists exactly the experiments `repro` accepts: `fig8`
+/// (absent from the paper's evaluation) is refused, and every listed name
+/// passes validation. A `--json` path that cannot be created stops the run
+/// right after validation, so no experiment actually runs.
+#[test]
+fn usage_lists_only_accepted_experiments() {
+    let out = repro().args(["fig8"]).output().expect("repro runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment `fig8`"));
+
+    let out = repro().output().expect("repro runs");
+    assert_eq!(out.status.code(), Some(1), "no arguments prints usage and fails");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("experiments: "))
+        .unwrap_or_else(|| panic!("usage names the experiments: {stderr}"));
+    let names: Vec<&str> = line.split_whitespace().filter(|&n| n != "all").collect();
+    assert!(names.len() >= 10 && !names.contains(&"fig8"), "{line}");
+    let dir = tmp_dir("usage");
+    let blocker = dir.join("not-a-dir");
+    std::fs::write(&blocker, "").unwrap();
+    for name in names {
+        let out = repro().args([name, "--json"]).arg(blocker.join("json")).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains("cannot create --json directory"), "{name} rejected: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn malformed_resume_journal_exits_with_usage_error() {
     let dir = tmp_dir("badjournal");

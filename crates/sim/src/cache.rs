@@ -169,17 +169,9 @@ impl Cache {
     /// Advances fills: installs lines whose fills complete at `now` and
     /// frees their MSHRs/LFBs.
     pub fn tick(&mut self, now: u64) {
-        let mut installed = Vec::new();
-        self.lfbs.retain(|l| {
-            if l.ready_cycle <= now {
-                installed.push(l.line_addr);
-                false
-            } else {
-                true
-            }
-        });
-        for line in installed {
-            self.install(line);
+        while let Some(i) = self.lfbs.iter().position(|l| l.ready_cycle <= now) {
+            let fill = self.lfbs.remove(i);
+            self.install(fill.line_addr);
         }
         self.mshrs.retain(|m| m.ready_cycle > now);
     }

@@ -20,6 +20,7 @@ use microsampler_isa::{
     CSR_FLUSH_TLB, CSR_INPUT, CSR_ITER_END, CSR_ITER_START, CSR_OUTPUT, CSR_SCR_END, CSR_SCR_START,
     STACK_TOP,
 };
+use microsampler_obs::diag_debug;
 use std::collections::VecDeque;
 
 type PReg = u16;
@@ -34,7 +35,7 @@ struct FusedOp {
 }
 
 /// A rename-map checkpoint taken at a branch or indirect jump.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Checkpoint {
     map: [PReg; 32],
     ras: (usize, usize),
@@ -122,7 +123,7 @@ struct LongOp {
     value: u64,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct PendingSquash {
     branch_seq: u64,
     apply_at: u64,
@@ -186,6 +187,7 @@ pub(crate) struct Core {
     // Per-cycle trace scratch.
     nlp_issued: Vec<u64>,
     dcache_reqs: Vec<u64>,
+    trace_row: Vec<u64>,
     // Fault injection (None unless `cfg.faults` is set).
     fault_plan: Option<FaultPlan>,
     /// The LSU neither drains stores nor starts new loads while
@@ -259,6 +261,7 @@ impl Core {
             div_busy: None,
             nlp_issued: Vec::new(),
             dcache_reqs: Vec::new(),
+            trace_row: Vec::new(),
             fault_plan: cfg.faults.map(FaultPlan::new),
             lsu_stall_until: 0,
             fault_counts: FaultCounts::default(),
@@ -281,7 +284,7 @@ impl Core {
     }
 
     fn debug_dump(&self) {
-        microsampler_obs::diag_debug!(
+        diag_debug!(
             "c{} fpc={:#x} bub={} fb={} iq={:?} squash={:?}",
             self.cycle,
             self.fetch_pc,
@@ -291,30 +294,14 @@ impl Core {
             self.pending_squashes.iter().map(|p| (p.branch_seq, p.apply_at)).collect::<Vec<_>>(),
         );
         for u in &self.rob {
-            microsampler_obs::diag_debug!(
-                "  rob seq={} pc={:#x} {:?} issued={} done={}",
-                u.seq,
-                u.pc,
-                u.inst,
-                u.issued,
-                u.completed
-            );
+            let (seq, pc, inst, issued, done) = (u.seq, u.pc, u.inst, u.issued, u.completed);
+            diag_debug!("  rob seq={seq} pc={pc:#x} {inst:?} issued={issued} done={done}");
         }
         for e in &self.stq {
-            microsampler_obs::diag_debug!(
-                "  stq seq={} addr={:?} state={:?}",
-                e.seq,
-                e.addr,
-                e.state
-            );
+            diag_debug!("  stq seq={} addr={:?} state={:?}", e.seq, e.addr, e.state);
         }
         for e in &self.ldq {
-            microsampler_obs::diag_debug!(
-                "  ldq seq={} addr={:?} state={:?}",
-                e.seq,
-                e.addr,
-                e.state
-            );
+            diag_debug!("  ldq seq={} addr={:?} state={:?}", e.seq, e.addr, e.state);
         }
     }
 
@@ -558,7 +545,7 @@ impl Core {
             .iter()
             .filter(|ps| ps.apply_at <= now)
             .min_by_key(|ps| ps.branch_seq)
-            .cloned();
+            .copied();
         let Some(ps) = ready else { return };
         self.pending_squashes.retain(|p| p.branch_seq < ps.branch_seq);
         let Some(branch_idx) = self.rob_index(ps.branch_seq) else {
@@ -567,7 +554,7 @@ impl Core {
         };
         // Restore rename state from the branch's checkpoint.
         let branch = &self.rob[branch_idx];
-        let cp = branch.checkpoint.clone().expect("branch carries a checkpoint");
+        let cp = branch.checkpoint.expect("branch carries a checkpoint");
         let hist_before = branch.hist_before;
         self.map = cp.map;
         self.ras.restore(cp.ras);
@@ -626,31 +613,24 @@ impl Core {
 
     fn complete_long_ops(&mut self) {
         let now = self.cycle;
-        let mut done: Vec<LongOp> = Vec::new();
-        self.mul_inflight.retain(|op| {
-            if op.done_cycle <= now {
-                done.push(*op);
-                false
-            } else {
-                true
-            }
-        });
-        if let Some(op) = self.div_busy {
-            if op.done_cycle <= now {
-                done.push(op);
-                self.div_busy = None;
-            }
+        while let Some(i) = self.mul_inflight.iter().position(|op| op.done_cycle <= now) {
+            let op = self.mul_inflight.remove(i);
+            self.writeback_long_op(op);
         }
-        for op in done {
-            if self.rob_index(op.seq).is_none() {
-                continue; // squashed while executing
-            }
-            let prd = self.uop(op.seq).prd;
-            if let Some(prd) = prd {
-                self.write_preg(prd, op.value);
-            }
-            self.uop_mut(op.seq).completed = true;
+        if let Some(op) = self.div_busy.filter(|op| op.done_cycle <= now) {
+            self.div_busy = None;
+            self.writeback_long_op(op);
         }
+    }
+
+    fn writeback_long_op(&mut self, op: LongOp) {
+        let Some(idx) = self.rob_index(op.seq) else {
+            return; // squashed while executing
+        };
+        if let Some(prd) = self.rob[idx].prd {
+            self.write_preg(prd, op.value);
+        }
+        self.rob[idx].completed = true;
     }
 
     /// Writes a physical register whose value is usable immediately
@@ -681,15 +661,10 @@ impl Core {
     fn lsu_tick(&mut self) {
         // Complete pending loads.
         let now = self.cycle;
-        let mut completed_loads: Vec<(u64, u64)> = Vec::new(); // (seq, value_raw_addr)
-        for e in self.ldq.iter_mut() {
-            if e.state == LdState::Pending && e.done_cycle <= now {
-                e.state = LdState::Done;
-                completed_loads.push((e.seq, e.addr.expect("pending load has addr")));
+        for i in 0..self.ldq.len() {
+            if self.ldq[i].state == LdState::Pending && self.ldq[i].done_cycle <= now {
+                self.finish_load(i);
             }
-        }
-        for (seq, addr) in completed_loads {
-            self.finish_load(seq, addr);
         }
         // An injected MSHR-stall window (or the permanent wedge) freezes
         // new LSU work: no store drains, no new load issues. Completions
@@ -699,98 +674,55 @@ impl Core {
             self.pipeline.fault_stall_cycles += 1;
         }
         // Drain committed stores.
-        let mut drain_reqs: Vec<(u64, u64)> = Vec::new();
-        if !stalled {
-            for e in self.stq.iter_mut() {
-                if e.state == StState::Draining {
-                    let addr = e.addr.expect("draining store has addr");
-                    drain_reqs.push((e.seq, addr));
-                }
+        for i in 0..if stalled { 0 } else { self.stq.len() } {
+            let e = &self.stq[i];
+            if e.state != StState::Draining {
+                continue;
             }
-        }
-        for (seq, addr) in drain_reqs {
+            let (addr, tlb_done) = (e.addr.expect("draining store has addr"), e.tlb_done);
             // First drain attempt translates through the TLB.
-            let mut extra = 0;
-            let tlb_pending = {
-                let e = self.stq.iter().find(|e| e.seq == seq).expect("draining store");
-                !e.tlb_done
-            };
-            if tlb_pending {
-                if self.tlb.access(addr) {
-                    self.stats.tlb_hits += 1;
-                } else {
-                    self.stats.tlb_misses += 1;
-                    extra = self.cfg.tlb_miss_latency;
-                }
-                if let Some(e) = self.stq.iter_mut().find(|e| e.seq == seq) {
-                    e.tlb_done = true;
-                }
-            }
-            self.dcache_reqs.push(addr);
-            let access = self.l1d.access(addr, now + extra, &self.mem);
-            let (state, done) = match access {
-                Access::Hit(c) => {
-                    self.stats.l1d_hits += 1;
-                    (StState::Drained, c)
-                }
-                Access::Miss(c) => {
-                    self.stats.l1d_misses += 1;
-                    self.maybe_prefetch(addr);
-                    (StState::Drained, c)
-                }
-                Access::Retry => {
-                    self.pipeline.lsu_retry_events += 1;
-                    (StState::Draining, 0)
-                }
-            };
-            if let Some(e) = self.stq.iter_mut().find(|e| e.seq == seq) {
-                if state == StState::Drained {
-                    e.state = StState::Drained;
-                    e.drain_done = done + extra;
-                }
-            }
+            let extra = if tlb_done { 0 } else { self.translate(addr) };
+            self.stq[i].tlb_done = true;
+            let Some(done) = self.l1d_request(addr, now + extra) else { continue };
+            let e = &mut self.stq[i];
+            e.state = StState::Drained;
+            e.drain_done = done + extra;
         }
         self.stq.retain(|e| !(e.state == StState::Drained && e.drain_done <= now));
         // Mark stores ready when address and data are both known.
-        let mut data_updates: Vec<(u64, u64)> = Vec::new();
-        for e in self.stq.iter() {
-            if e.state == StState::WaitData {
-                let u = &self.rob[self.rob_index(e.seq).expect("live store")];
-                if self.preg_ready(u.ps2) {
-                    data_updates.push((e.seq, self.read_preg(u.ps2.unwrap_or(0))));
-                }
+        for i in 0..self.stq.len() {
+            let seq = self.stq[i].seq;
+            if self.stq[i].state != StState::WaitData {
+                continue;
             }
-        }
-        for (seq, data) in data_updates {
-            if let Some(e) = self.stq.iter_mut().find(|e| e.seq == seq) {
+            let ps2 = self.uop(seq).ps2;
+            if self.preg_ready(ps2) {
+                let data = self.read_preg(ps2.unwrap_or(0));
+                let e = &mut self.stq[i];
                 e.data = Some(data);
                 e.state = StState::Ready;
+                self.uop_mut(seq).completed = true;
             }
-            self.uop_mut(seq).completed = true;
         }
         // Start memory accesses for ready loads (up to 2 per cycle).
         let mut started = 0;
-        let ready: Vec<u64> = if stalled {
-            Vec::new()
-        } else {
-            self.ldq.iter().filter(|e| e.state == LdState::Ready).map(|e| e.seq).collect()
-        };
-        for seq in ready {
+        for i in 0..if stalled { 0 } else { self.ldq.len() } {
             if started >= 2 {
                 break;
             }
-            if self.try_start_load(seq) {
+            if self.ldq[i].state == LdState::Ready && self.try_start_load(i) {
                 started += 1;
             }
         }
     }
 
-    /// Attempts to start the memory access of a load whose address is known.
-    fn try_start_load(&mut self, seq: u64) -> bool {
-        let (addr, size) = {
-            let e = self.ldq.iter().find(|e| e.seq == seq).expect("load in LDQ");
-            (e.addr.expect("ready load has addr"), e.size)
-        };
+    /// Attempts to start the memory access of LDQ entry `i`, a load whose
+    /// address is known.
+    fn try_start_load(&mut self, i: usize) -> bool {
+        let e = &self.ldq[i];
+        let (seq, size, addr) = (e.seq, e.size, e.addr.expect("ready load has addr"));
+        // A retried access already paid its TLB walk: `extra_delay` holds it.
+        let (tlb_done, extra_delay) = (e.tlb_done, e.extra_delay);
         // Memory disambiguation against older stores.
         let mut forward: Option<u64> = None;
         for s in self.stq.iter().rev() {
@@ -819,50 +751,57 @@ impl Core {
                 }
             }
         }
-        let now = self.cycle;
         if let Some(value) = forward {
             // Store-to-load forwarding: the value never touches the cache.
             self.stats.stl_forwards += 1;
-            self.finish_load_with_value(seq, value);
+            self.finish_load_with_value(i, value);
             return true;
         }
-        // TLB.
-        let entry = self.ldq.iter().find(|e| e.seq == seq).expect("load");
-        let mut extra = entry.extra_delay;
-        if !entry.tlb_done {
-            if self.tlb.access(addr) {
-                self.stats.tlb_hits += 1;
-            } else {
-                self.stats.tlb_misses += 1;
-                extra = self.cfg.tlb_miss_latency;
-            }
-        }
-        self.dcache_reqs.push(addr);
-        let access = self.l1d.access(addr, now + extra, &self.mem);
-        match access {
-            Access::Hit(c) => {
-                self.stats.l1d_hits += 1;
-                let e = self.ldq.iter_mut().find(|e| e.seq == seq).expect("load");
-                e.tlb_done = true;
+        let extra = if tlb_done { extra_delay } else { self.translate(addr) };
+        let done = self.l1d_request(addr, self.cycle + extra);
+        let e = &mut self.ldq[i];
+        e.tlb_done = true;
+        match done {
+            Some(c) => {
                 e.state = LdState::Pending;
                 e.done_cycle = c + extra;
                 true
+            }
+            None => {
+                e.extra_delay = extra;
+                false
+            }
+        }
+    }
+
+    /// Translates `addr` through the TLB; returns the page-walk latency.
+    fn translate(&mut self, addr: u64) -> u64 {
+        if self.tlb.access(addr) {
+            self.stats.tlb_hits += 1;
+            0
+        } else {
+            self.stats.tlb_misses += 1;
+            self.cfg.tlb_miss_latency
+        }
+    }
+
+    /// Sends one L1D request at cycle `at`: the data-ready cycle, or `None`
+    /// when the access must be retried.
+    fn l1d_request(&mut self, addr: u64, at: u64) -> Option<u64> {
+        self.dcache_reqs.push(addr);
+        match self.l1d.access(addr, at, &self.mem) {
+            Access::Hit(c) => {
+                self.stats.l1d_hits += 1;
+                Some(c)
             }
             Access::Miss(c) => {
                 self.stats.l1d_misses += 1;
                 self.maybe_prefetch(addr);
-                let e = self.ldq.iter_mut().find(|e| e.seq == seq).expect("load");
-                e.tlb_done = true;
-                e.state = LdState::Pending;
-                e.done_cycle = c + extra;
-                true
+                Some(c)
             }
             Access::Retry => {
                 self.pipeline.lsu_retry_events += 1;
-                let e = self.ldq.iter_mut().find(|e| e.seq == seq).expect("load");
-                e.tlb_done = true;
-                e.extra_delay = extra;
-                false
+                None
             }
         }
     }
@@ -877,16 +816,16 @@ impl Core {
         }
     }
 
-    fn finish_load(&mut self, seq: u64, addr: u64) {
-        let size = self.ldq.iter().find(|e| e.seq == seq).expect("load").size;
-        let raw = self.mem.read_le(addr, size);
-        self.finish_load_with_value(seq, raw & mask(size));
+    fn finish_load(&mut self, i: usize) {
+        let e = &self.ldq[i];
+        let raw = self.mem.read_le(e.addr.expect("pending load has addr"), e.size);
+        self.finish_load_with_value(i, raw & mask(e.size));
     }
 
-    fn finish_load_with_value(&mut self, seq: u64, raw: u64) {
-        if let Some(e) = self.ldq.iter_mut().find(|e| e.seq == seq) {
-            e.state = LdState::Done;
-        }
+    fn finish_load_with_value(&mut self, i: usize, raw: u64) {
+        let e = &mut self.ldq[i];
+        e.state = LdState::Done;
+        let seq = e.seq;
         let (op, prd) = {
             let u = self.uop(seq);
             match u.inst {
@@ -912,16 +851,16 @@ impl Core {
         let mut alus_used = 0;
         let mut agus_used = 0;
         let mut mul_issued = false;
-        self.iq.sort_unstable();
-        let candidates: Vec<u64> = self.iq.clone();
-        let mut remove: Vec<u64> = Vec::new();
-        for seq in candidates {
+        // Taken out of `self` so the in-place select can call `&mut self`
+        // helpers; `retain` keeps what stays queued, in seq order.
+        let mut iq = std::mem::take(&mut self.iq);
+        iq.sort_unstable();
+        iq.retain(|&seq| {
             if issued >= self.cfg.issue_width {
-                break;
+                return true;
             }
             let Some(idx) = self.rob_index(seq) else {
-                remove.push(seq);
-                continue;
+                return false;
             };
             let (ps1, ps2, inst) = {
                 let u = &self.rob[idx];
@@ -931,14 +870,14 @@ impl Core {
             // the data operand is picked up by the LSU when it is ready.
             let needs_ps2 = !inst.is_store();
             if !self.preg_ready(ps1) || (needs_ps2 && !self.preg_ready(ps2)) {
-                continue;
+                return true;
             }
             let a = self.read_preg(ps1.unwrap_or(0));
             let b = self.read_preg(ps2.unwrap_or(0));
             match inst {
                 Inst::MulDiv { op, .. } if !op.is_div() => {
                     if mul_issued {
-                        continue;
+                        return true;
                     }
                     mul_issued = true;
                     let value = interp::muldiv(op, a, b);
@@ -961,7 +900,7 @@ impl Core {
                 }
                 Inst::MulDiv { op, .. } => {
                     if self.div_busy.is_some() {
-                        continue;
+                        return true;
                     }
                     let value = interp::muldiv(op, a, b);
                     let pc = self.rob[idx].pc;
@@ -975,7 +914,7 @@ impl Core {
                 }
                 Inst::Load { .. } | Inst::Store { .. } => {
                     if agus_used >= self.cfg.n_agus {
-                        continue;
+                        return true;
                     }
                     let (_, offset) = inst.mem_base().expect("memory shape");
                     let addr = a.wrapping_add(offset as u64);
@@ -995,7 +934,7 @@ impl Core {
                 }
                 _ => {
                     if alus_used >= self.cfg.n_alus {
-                        continue;
+                        return true;
                     }
                     // Input and cycle CSR reads are non-speculative: only
                     // execute at the head of the ROB (all older
@@ -1004,7 +943,7 @@ impl Core {
                     if matches!(inst, Inst::Csr { csr: CSR_INPUT | CSR_CYCLE, .. })
                         && seq != self.rob_base_seq
                     {
-                        continue;
+                        return true;
                     }
                     let pc = self.rob[idx].pc;
                     self.alu_busy[alus_used] = pc;
@@ -1013,10 +952,10 @@ impl Core {
                     self.execute_alu(seq, a, b);
                 }
             }
-            remove.push(seq);
             issued += 1;
-        }
-        self.iq.retain(|s| !remove.contains(s));
+            false
+        });
+        self.iq = iq;
         self.pipeline.alu_busy += alus_used as u64;
         self.pipeline.agu_busy += agus_used as u64;
     }
@@ -1098,35 +1037,15 @@ impl Core {
                 }
                 break;
             }
+            let needs_iq = !matches!(fe.inst, Inst::Ecall | Inst::Ebreak | Inst::Fence);
             // A fence drains the store queue: it does not rename until
             // every older store (including background drains) has left.
-            if matches!(fe.inst, Inst::Fence) && !self.stq.is_empty() {
-                if slot == 0 {
-                    self.pipeline.dispatch_stall_cycles += 1;
-                }
-                break;
-            }
-            let needs_iq = !matches!(fe.inst, Inst::Ecall | Inst::Ebreak | Inst::Fence);
-            if needs_iq && self.iq.len() >= self.cfg.iq_entries {
-                if slot == 0 {
-                    self.pipeline.dispatch_stall_cycles += 1;
-                }
-                break;
-            }
-            if fe.inst.is_load() && self.ldq.len() >= self.cfg.ldq_entries {
-                if slot == 0 {
-                    self.pipeline.dispatch_stall_cycles += 1;
-                }
-                break;
-            }
-            if fe.inst.is_store() && self.stq.len() >= self.cfg.stq_entries {
-                if slot == 0 {
-                    self.pipeline.dispatch_stall_cycles += 1;
-                }
-                break;
-            }
-            let needs_preg = fe.inst.rd().is_some();
-            if needs_preg && self.free_pregs.is_empty() {
+            let blocked = (matches!(fe.inst, Inst::Fence) && !self.stq.is_empty())
+                || (needs_iq && self.iq.len() >= self.cfg.iq_entries)
+                || (fe.inst.is_load() && self.ldq.len() >= self.cfg.ldq_entries)
+                || (fe.inst.is_store() && self.stq.len() >= self.cfg.stq_entries)
+                || (fe.inst.rd().is_some() && self.free_pregs.is_empty());
+            if blocked {
                 if slot == 0 {
                     self.pipeline.dispatch_stall_cycles += 1;
                 }
@@ -1332,89 +1251,43 @@ impl Core {
             return;
         }
         self.tracer.begin_cycle(self.cycle);
-        let mut row: Vec<u64>;
-
-        row = vec![0; self.cfg.stq_entries];
-        for (i, e) in self.stq.iter().enumerate().take(self.cfg.stq_entries) {
-            row[i] = e.addr.unwrap_or(0);
-        }
-        self.tracer.record_row(UnitId::SqAddr, &row);
-
-        row = vec![0; self.cfg.stq_entries];
-        for (i, e) in self.stq.iter().enumerate().take(self.cfg.stq_entries) {
-            row[i] = e.pc;
-        }
-        self.tracer.record_row(UnitId::SqPc, &row);
-
-        row = vec![0; self.cfg.ldq_entries];
-        for (i, e) in self.ldq.iter().enumerate().take(self.cfg.ldq_entries) {
-            row[i] = e.addr.unwrap_or(0);
-        }
-        self.tracer.record_row(UnitId::LqAddr, &row);
-
-        row = vec![0; self.cfg.ldq_entries];
-        for (i, e) in self.ldq.iter().enumerate().take(self.cfg.ldq_entries) {
-            row[i] = e.pc;
-        }
-        self.tracer.record_row(UnitId::LqPc, &row);
-
-        self.tracer.record_row(UnitId::RobOccupancy, &[self.rob.len() as u64]);
-
-        let mut rob_pcs = Vec::with_capacity(self.cfg.rob_entries);
+        let cfg = &self.cfg;
+        let t = &mut self.tracer;
+        let row = &mut self.trace_row;
+        let (stq, ldq, l1d) = (&self.stq, &self.ldq, &self.l1d);
+        let n = cfg.stq_entries;
+        t.record_row(UnitId::SqAddr, fill_row(row, stq.iter().map(|e| e.addr.unwrap_or(0)), n, n));
+        t.record_row(UnitId::SqPc, fill_row(row, stq.iter().map(|e| e.pc), n, n));
+        let n = cfg.ldq_entries;
+        t.record_row(UnitId::LqAddr, fill_row(row, ldq.iter().map(|e| e.addr.unwrap_or(0)), n, n));
+        t.record_row(UnitId::LqPc, fill_row(row, ldq.iter().map(|e| e.pc), n, n));
+        t.record_row(UnitId::RobOccupancy, &[self.rob.len() as u64]);
+        row.clear();
         for u in &self.rob {
-            for f in &u.fused {
-                rob_pcs.push(f.pc);
-            }
-            rob_pcs.push(u.pc);
+            row.extend(u.fused.iter().map(|f| f.pc));
+            row.push(u.pc);
         }
-        rob_pcs.resize(self.cfg.rob_entries.max(rob_pcs.len()), 0);
-        self.tracer.record_row(UnitId::RobPc, &rob_pcs);
-
-        row = vec![0; self.cfg.lfb_entries];
-        for (i, l) in self.l1d.lfb_entries().enumerate().take(self.cfg.lfb_entries) {
-            row[i] = l.data_digest;
-        }
-        self.tracer.record_row(UnitId::LfbData, &row);
-
-        row = vec![0; self.cfg.lfb_entries];
-        for (i, l) in self.l1d.lfb_entries().enumerate().take(self.cfg.lfb_entries) {
-            row[i] = l.line_addr;
-        }
-        self.tracer.record_row(UnitId::LfbAddr, &row);
-
-        let alu_row = self.alu_busy.clone();
-        self.tracer.record_row(UnitId::EuuAlu, &alu_row);
-        let agu_row = self.agu_busy.clone();
-        self.tracer.record_row(UnitId::EuuAddrGen, &agu_row);
-
-        let div_row = [self.div_busy.map(|op| op.pc).unwrap_or(0)];
-        self.tracer.record_row(UnitId::EuuDiv, &div_row);
-
-        let mut mul_row = vec![0; self.cfg.mul_latency as usize];
-        for (i, op) in self.mul_inflight.iter().enumerate().take(mul_row.len()) {
-            mul_row[i] = op.pc;
-        }
-        self.tracer.record_row(UnitId::EuuMul, &mul_row);
-
-        let mut nlp_row = self.nlp_issued.clone();
-        nlp_row.resize(nlp_row.len().max(2), 0);
-        self.tracer.record_row(UnitId::NlpAddr, &nlp_row);
-
-        let mut cache_row = self.dcache_reqs.clone();
-        cache_row.resize(cache_row.len().max(4), 0);
-        self.tracer.record_row(UnitId::CacheAddr, &cache_row);
-
-        let mut tlb_row = vec![0; self.cfg.tlb_entries];
-        for (i, p) in self.tlb.resident_pages().enumerate().take(self.cfg.tlb_entries) {
-            tlb_row[i] = p;
-        }
-        self.tracer.record_row(UnitId::TlbAddr, &tlb_row);
-
-        let mut mshr_row = vec![0; self.cfg.l1d.mshrs];
-        for (i, a) in self.l1d.mshr_addrs().enumerate().take(self.cfg.l1d.mshrs) {
-            mshr_row[i] = a;
-        }
-        self.tracer.record_row(UnitId::MshrAddr, &mshr_row);
+        row.resize(row.len().max(cfg.rob_entries), 0);
+        t.record_row(UnitId::RobPc, row);
+        let n = cfg.lfb_entries;
+        t.record_row(
+            UnitId::LfbData,
+            fill_row(row, l1d.lfb_entries().map(|l| l.data_digest), n, n),
+        );
+        t.record_row(UnitId::LfbAddr, fill_row(row, l1d.lfb_entries().map(|l| l.line_addr), n, n));
+        t.record_row(UnitId::EuuAlu, &self.alu_busy);
+        t.record_row(UnitId::EuuAddrGen, &self.agu_busy);
+        t.record_row(UnitId::EuuDiv, &[self.div_busy.map_or(0, |op| op.pc)]);
+        let n = cfg.mul_latency as usize;
+        t.record_row(UnitId::EuuMul, fill_row(row, self.mul_inflight.iter().map(|op| op.pc), n, n));
+        let nlp = self.nlp_issued.iter().copied();
+        t.record_row(UnitId::NlpAddr, fill_row(row, nlp, usize::MAX, 2));
+        let reqs = self.dcache_reqs.iter().copied();
+        t.record_row(UnitId::CacheAddr, fill_row(row, reqs, usize::MAX, 4));
+        let n = cfg.tlb_entries;
+        t.record_row(UnitId::TlbAddr, fill_row(row, self.tlb.resident_pages(), n, n));
+        let n = cfg.l1d.mshrs;
+        t.record_row(UnitId::MshrAddr, fill_row(row, l1d.mshr_addrs(), n, n));
     }
 
     /// Cycles since the last commit (deadlock watchdog input).
@@ -1436,6 +1309,17 @@ impl Core {
             a += line;
         }
     }
+}
+
+/// Refills the reused trace row with at most `cap` values, zero-padded to
+/// at least `min` entries.
+fn fill_row(row: &mut Vec<u64>, vals: impl Iterator<Item = u64>, cap: usize, min: usize) -> &[u64] {
+    row.clear();
+    row.extend(vals.take(cap));
+    if row.len() < min {
+        row.resize(min, 0);
+    }
+    row
 }
 
 fn mask(size: u64) -> u64 {

@@ -82,9 +82,9 @@ impl UnitId {
     /// Number of tracked units.
     pub const COUNT: usize = 16;
 
-    /// Canonical index, `0..16`.
+    /// Canonical index, `0..16` (the declaration order, which `ALL` follows).
     pub fn index(self) -> usize {
-        UnitId::ALL.iter().position(|&u| u == self).expect("unit in ALL")
+        self as usize
     }
 
     /// Paper feature ID, e.g. `"SQ-ADDR"`.
@@ -225,11 +225,53 @@ impl IterationTrace {
     }
 }
 
+/// Insert-only set of non-zero words: open addressing with linear probing,
+/// a multiplicative hash, and `0` (never a feature) marking empty slots.
+#[derive(Default)]
+struct SeenSet {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl SeenSet {
+    /// Adds non-zero `v`; true when it was not yet present.
+    #[inline]
+    fn insert(&mut self, v: u64) -> bool {
+        debug_assert_ne!(v, 0);
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = (v.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask;
+        while self.slots[i] != 0 {
+            if self.slots[i] == v {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = v;
+        self.len += 1;
+        true
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![0; size]);
+        self.len = 0;
+        for v in old.into_iter().filter(|&v| v != 0) {
+            self.insert(v);
+        }
+    }
+}
+
 struct UnitBuilder {
     hasher: SipHasher,
     timeless_hasher: SipHasher,
     last_row: Option<Vec<u64>>,
-    features: BTreeSet<u64>,
+    /// Dedup index over `order`; the public `BTreeSet` is built from
+    /// `order` once, in [`UnitBuilder::finish`].
+    seen: SeenSet,
     order: Vec<u64>,
     rows: Option<Vec<Vec<u64>>>,
     cycle_rows: u64,
@@ -244,7 +286,7 @@ impl UnitBuilder {
             hasher: cfg.hasher(),
             timeless_hasher: cfg.hasher(),
             last_row: None,
-            features: BTreeSet::new(),
+            seen: SeenSet::default(),
             order: Vec::new(),
             rows: cfg.keep_matrices.then(Vec::new),
             cycle_rows: 0,
@@ -271,27 +313,21 @@ impl UnitBuilder {
         let row_bytes = 8 * (row.len() as u64 + 1);
         let mut hashed = row_bytes;
         self.hasher.write_u64(row.len() as u64);
-        if self.last_row.as_deref() == Some(row) {
-            // Unchanged row: the timeless hasher consolidates it away, and
-            // its values are already in the feature set (they were inserted
-            // when this row content first appeared), so one traversal
-            // feeding the full hasher suffices.
-            for &v in row {
-                self.hasher.write_u64(v);
-            }
-        } else {
+        self.hasher.write_u64s(row);
+        // An unchanged row is consolidated away by the timeless hasher, and
+        // its values entered the feature set when the content first
+        // appeared.
+        if self.last_row.as_deref() != Some(row) {
             self.timeless_hasher.write_u64(row.len() as u64);
+            self.timeless_hasher.write_u64s(row);
             for &v in row {
-                self.hasher.write_u64(v);
-                self.timeless_hasher.write_u64(v);
-                if v != 0 && self.features.insert(v) {
+                if v != 0 && self.seen.insert(v) {
                     self.order.push(v);
                 }
             }
-            match &mut self.last_row {
-                Some(last) if last.len() == row.len() => last.copy_from_slice(row),
-                last => *last = Some(row.to_vec()),
-            }
+            let last = self.last_row.get_or_insert_with(Vec::new);
+            last.clear();
+            last.extend_from_slice(row);
             hashed += row_bytes;
         }
         if let Some(rows) = &mut self.rows {
@@ -319,7 +355,7 @@ impl UnitBuilder {
         UnitTrace {
             hash: self.hasher.finish(),
             hash_timeless: self.timeless_hasher.finish(),
-            features: self.features,
+            features: self.order.iter().copied().collect(),
             order: self.order,
             rows: self.rows,
             cycle_rows: self.cycle_rows,
@@ -327,23 +363,30 @@ impl UnitBuilder {
     }
 }
 
-struct InProgress {
+/// An iteration being sampled or, in sharded-hashing mode, a completed one
+/// whose unit builders still hold buffered rows (folded in bulk by
+/// [`Tracer::finalize`]).
+struct OpenIteration {
     label: u64,
     start_cycle: u64,
     last_cycle: u64,
     dropped: u64,
+    /// Pipeline deltas staged by [`Tracer::set_pipeline`].
+    pipeline: PipelineStats,
     units: Vec<UnitBuilder>,
 }
 
-/// A completed iteration whose unit builders still hold buffered rows
-/// (sharded-hashing mode); folded in bulk by [`Tracer::finalize`].
-struct PendingIteration {
-    label: u64,
-    start_cycle: u64,
-    end_cycle: u64,
-    dropped: u64,
-    pipeline: PipelineStats,
-    units: Vec<UnitBuilder>,
+impl OpenIteration {
+    fn finish(self) -> IterationTrace {
+        IterationTrace {
+            label: self.label,
+            start_cycle: self.start_cycle,
+            end_cycle: self.last_cycle,
+            dropped_cycles: self.dropped,
+            pipeline: self.pipeline,
+            units: self.units.into_iter().map(UnitBuilder::finish).collect(),
+        }
+    }
 }
 
 /// Collects per-cycle unit rows into labeled [`IterationTrace`]s,
@@ -357,9 +400,9 @@ struct PendingIteration {
 pub struct Tracer {
     cfg: TraceConfig,
     in_scr: bool,
-    current: Option<InProgress>,
+    current: Option<OpenIteration>,
     /// Completed-but-unfolded iterations in commit order (sharded mode).
-    deferred: Vec<PendingIteration>,
+    deferred: Vec<OpenIteration>,
     /// `cfg.threads != 1`: buffer rows and fold on the pool.
     sharded: bool,
     /// Completed iterations in commit order.
@@ -383,9 +426,6 @@ pub struct Tracer {
     /// Guards double-counting a drop when the same cycle is begun twice
     /// (the parser replays one `D` record per lost cycle).
     counted_drop_for: Option<u64>,
-    /// Pipeline deltas for the open iteration, staged by
-    /// [`Tracer::set_pipeline`] and consumed when the iteration closes.
-    current_pipeline: PipelineStats,
     log: Option<String>,
 }
 
@@ -408,7 +448,6 @@ impl Tracer {
             fault_plan: cfg.faults.map(FaultPlan::new),
             drop_this_cycle: false,
             counted_drop_for: None,
-            current_pipeline: PipelineStats::default(),
             log: None,
         }
     }
@@ -450,13 +489,13 @@ impl Tracer {
     /// iteration is finalized first.
     pub fn iter_start(&mut self, cycle: u64, label: u64) {
         self.iter_end(cycle);
-        self.current_pipeline = PipelineStats::default();
         let sharded = self.sharded;
-        self.current = Some(InProgress {
+        self.current = Some(OpenIteration {
             label,
             start_cycle: cycle,
             last_cycle: cycle,
             dropped: 0,
+            pipeline: PipelineStats::default(),
             units: (0..UnitId::COUNT).map(|_| UnitBuilder::new(&self.cfg, sharded)).collect(),
         });
         if let Some(log) = &mut self.log {
@@ -468,10 +507,8 @@ impl Tracer {
     /// core calls this right before the closing marker commit). No-op when
     /// no iteration is open, so stray marker sequences leave no residue.
     pub fn set_pipeline(&mut self, pipeline: PipelineStats) {
-        if self.current.is_none() {
-            return;
-        }
-        self.current_pipeline = pipeline;
+        let Some(cur) = &mut self.current else { return };
+        cur.pipeline = pipeline;
         if let Some(log) = &mut self.log {
             log.push('P');
             for v in pipeline.to_array() {
@@ -484,25 +521,10 @@ impl Tracer {
     /// Handles an `ITER_END` marker commit.
     pub fn iter_end(&mut self, cycle: u64) {
         if let Some(cur) = self.current.take() {
-            let pipeline = std::mem::take(&mut self.current_pipeline);
             if self.sharded {
-                self.deferred.push(PendingIteration {
-                    label: cur.label,
-                    start_cycle: cur.start_cycle,
-                    end_cycle: cur.last_cycle,
-                    dropped: cur.dropped,
-                    pipeline,
-                    units: cur.units,
-                });
+                self.deferred.push(cur);
             } else {
-                self.iterations.push(IterationTrace {
-                    label: cur.label,
-                    start_cycle: cur.start_cycle,
-                    end_cycle: cur.last_cycle,
-                    dropped_cycles: cur.dropped,
-                    pipeline,
-                    units: cur.units.into_iter().map(UnitBuilder::finish).collect(),
-                });
+                self.iterations.push(cur.finish());
             }
             if let Some(log) = &mut self.log {
                 log.push_str(&format!("M ITER_END {cycle}\n"));
@@ -530,16 +552,7 @@ impl Tracer {
             b.drain_pending()
         });
         self.hash_bytes += hashed.iter().sum::<u64>();
-        for p in pending {
-            self.iterations.push(IterationTrace {
-                label: p.label,
-                start_cycle: p.start_cycle,
-                end_cycle: p.end_cycle,
-                dropped_cycles: p.dropped,
-                pipeline: p.pipeline,
-                units: p.units.into_iter().map(UnitBuilder::finish).collect(),
-            });
-        }
+        self.iterations.extend(pending.into_iter().map(OpenIteration::finish));
     }
 
     /// Records one unit's row for the current cycle. Call exactly once per
@@ -757,8 +770,9 @@ mod tests {
 
     #[test]
     fn unit_names_roundtrip() {
-        for u in UnitId::ALL {
+        for (i, u) in UnitId::ALL.into_iter().enumerate() {
             assert_eq!(UnitId::from_name(u.name()), Some(u));
+            assert_eq!(u.index(), i, "{u} is at position {i} of ALL");
         }
         assert_eq!(UnitId::from_name("BOGUS"), None);
         assert_eq!(UnitId::ALL.len(), UnitId::COUNT);
@@ -1026,5 +1040,86 @@ mod tests {
         )
         .unwrap();
         assert_eq!(parsed, serial.iterations);
+    }
+
+    /// The straightforward fold the builder must reproduce: byte-wise
+    /// hasher writes per word, a `BTreeSet` for the features. Returns the
+    /// summary and the bytes hashed.
+    fn reference_fold(cfg: &TraceConfig, rows: &[Vec<u64>]) -> (UnitTrace, u64) {
+        let (mut full, mut timeless) = (cfg.hasher(), cfg.hasher());
+        let (mut features, mut order) = (BTreeSet::new(), Vec::new());
+        let mut last: Option<&[u64]> = None;
+        let mut hashed = 0;
+        for row in rows {
+            let words = std::iter::once(row.len() as u64).chain(row.iter().copied());
+            words.clone().for_each(|w| full.write(&w.to_le_bytes()));
+            hashed += 8 * (row.len() as u64 + 1);
+            if last != Some(row.as_slice()) {
+                words.for_each(|w| timeless.write(&w.to_le_bytes()));
+                hashed += 8 * (row.len() as u64 + 1);
+                for &v in row {
+                    if v != 0 && features.insert(v) {
+                        order.push(v);
+                    }
+                }
+                last = Some(row);
+            }
+        }
+        let summary = UnitTrace {
+            hash: full.finish(),
+            hash_timeless: timeless.finish(),
+            features,
+            order,
+            rows: cfg.keep_matrices.then(|| rows.to_vec()),
+            cycle_rows: rows.len() as u64,
+        };
+        (summary, hashed)
+    }
+
+    #[test]
+    fn builder_matches_reference_fold() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..48u64 {
+            // Mixed widths, exact repeats of the previous row, zeros, a few
+            // recurring line addresses and arbitrary words.
+            let mut rows: Vec<Vec<u64>> = Vec::new();
+            for _ in 0..next() % 80 {
+                let r = next();
+                if r % 4 == 0 && !rows.is_empty() {
+                    rows.push(rows[rows.len() - 1].clone());
+                    continue;
+                }
+                let width = [0, 1, 2, 3, 8, 40][(r >> 8) as usize % 6];
+                let row = (0..width).map(|_| match next() % 3 {
+                    0 => 0,
+                    1 => 0x8000_0000 + next() % 16 * 64,
+                    _ => next(),
+                });
+                rows.push(row.collect());
+            }
+            for (keep_matrices, sip13) in
+                [(false, true), (true, true), (false, false), (true, false)]
+            {
+                let cfg = TraceConfig {
+                    keep_matrices,
+                    sip13,
+                    hash_key: (case, !case),
+                    ..TraceConfig::default()
+                };
+                let (expect, expect_bytes) = reference_fold(&cfg, &rows);
+                for deferred in [false, true] {
+                    let mut b = UnitBuilder::new(&cfg, deferred);
+                    let bytes = rows.iter().map(|r| b.push_row(r)).sum::<u64>() + b.drain_pending();
+                    assert_eq!(bytes, expect_bytes, "case {case} deferred {deferred}");
+                    assert_eq!(b.finish(), expect, "case {case} deferred {deferred}");
+                }
+            }
+        }
     }
 }

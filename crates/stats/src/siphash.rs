@@ -20,15 +20,59 @@
 /// ```
 #[derive(Clone, Debug)]
 pub struct SipHasher {
-    v0: u64,
-    v1: u64,
-    v2: u64,
-    v3: u64,
+    v: State,
     c_rounds: u32,
     d_rounds: u32,
     buf: [u8; 8],
     buf_len: usize,
     total_len: u64,
+}
+
+/// The four SipHash state words. Copied into locals by the word-slice
+/// absorb so they stay in registers across the loop.
+#[derive(Clone, Copy, Debug)]
+struct State {
+    v0: u64,
+    v1: u64,
+    v2: u64,
+    v3: u64,
+}
+
+impl State {
+    #[inline(always)]
+    fn round(&mut self) {
+        self.v0 = self.v0.wrapping_add(self.v1);
+        self.v1 = self.v1.rotate_left(13);
+        self.v1 ^= self.v0;
+        self.v0 = self.v0.rotate_left(32);
+        self.v2 = self.v2.wrapping_add(self.v3);
+        self.v3 = self.v3.rotate_left(16);
+        self.v3 ^= self.v2;
+        self.v0 = self.v0.wrapping_add(self.v3);
+        self.v3 = self.v3.rotate_left(21);
+        self.v3 ^= self.v0;
+        self.v2 = self.v2.wrapping_add(self.v1);
+        self.v1 = self.v1.rotate_left(17);
+        self.v1 ^= self.v2;
+        self.v2 = self.v2.rotate_left(32);
+    }
+
+    #[inline(always)]
+    fn compress(&mut self, m: u64, rounds: u32) {
+        self.v3 ^= m;
+        for _ in 0..rounds {
+            self.round();
+        }
+        self.v0 ^= m;
+    }
+
+    #[inline(always)]
+    fn absorb(mut self, words: &[u64], rounds: u32) -> State {
+        for &m in words {
+            self.compress(m, rounds);
+        }
+        self
+    }
 }
 
 impl SipHasher {
@@ -50,10 +94,12 @@ impl SipHasher {
     pub fn with_rounds(k0: u64, k1: u64, c_rounds: u32, d_rounds: u32) -> SipHasher {
         assert!(c_rounds > 0 && d_rounds > 0, "round counts must be positive");
         SipHasher {
-            v0: k0 ^ 0x736f_6d65_7073_6575,
-            v1: k1 ^ 0x646f_7261_6e64_6f6d,
-            v2: k0 ^ 0x6c79_6765_6e65_7261,
-            v3: k1 ^ 0x7465_6462_7974_6573,
+            v: State {
+                v0: k0 ^ 0x736f_6d65_7073_6575,
+                v1: k1 ^ 0x646f_7261_6e64_6f6d,
+                v2: k0 ^ 0x6c79_6765_6e65_7261,
+                v3: k1 ^ 0x7465_6462_7974_6573,
+            },
             c_rounds,
             d_rounds,
             buf: [0; 8],
@@ -63,30 +109,8 @@ impl SipHasher {
     }
 
     #[inline]
-    fn round(&mut self) {
-        self.v0 = self.v0.wrapping_add(self.v1);
-        self.v1 = self.v1.rotate_left(13);
-        self.v1 ^= self.v0;
-        self.v0 = self.v0.rotate_left(32);
-        self.v2 = self.v2.wrapping_add(self.v3);
-        self.v3 = self.v3.rotate_left(16);
-        self.v3 ^= self.v2;
-        self.v0 = self.v0.wrapping_add(self.v3);
-        self.v3 = self.v3.rotate_left(21);
-        self.v3 ^= self.v0;
-        self.v2 = self.v2.wrapping_add(self.v1);
-        self.v1 = self.v1.rotate_left(17);
-        self.v1 ^= self.v2;
-        self.v2 = self.v2.rotate_left(32);
-    }
-
-    #[inline]
     fn compress(&mut self, m: u64) {
-        self.v3 ^= m;
-        for _ in 0..self.c_rounds {
-            self.round();
-        }
-        self.v0 ^= m;
+        self.v.compress(m, self.c_rounds);
     }
 
     /// Absorbs bytes into the hash state.
@@ -116,22 +140,54 @@ impl SipHasher {
     }
 
     /// Convenience: absorbs a `u64` in little-endian byte order.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        if self.buf_len != 0 {
+            return self.write_u64s_buffered(&[v]);
+        }
+        self.total_len = self.total_len.wrapping_add(8);
+        self.compress(v);
+    }
+
+    /// Absorbs each word in little-endian byte order: the same digest as
+    /// calling [`SipHasher::write_u64`] on every word, or [`SipHasher::write`]
+    /// on their concatenated bytes. With no partial byte block pending, the
+    /// words go straight to the compression function.
+    #[inline]
+    pub fn write_u64s(&mut self, words: &[u64]) {
+        if self.buf_len != 0 {
+            return self.write_u64s_buffered(words);
+        }
+        self.total_len = self.total_len.wrapping_add(8 * words.len() as u64);
+        // Literal round counts for SipHash-1-3 and 2-4 let the inlined
+        // round loop unroll.
+        self.v = match self.c_rounds {
+            1 => self.v.absorb(words, 1),
+            2 => self.v.absorb(words, 2),
+            c => self.v.absorb(words, c),
+        };
+    }
+
+    #[cold]
+    fn write_u64s_buffered(&mut self, words: &[u64]) {
+        for &w in words {
+            self.write(&w.to_le_bytes());
+        }
     }
 
     /// Finalizes and returns the 64-bit digest. Consumes the hasher.
+    #[inline]
     pub fn finish(mut self) -> u64 {
         let mut last = [0u8; 8];
         last[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
         last[7] = self.total_len as u8;
         let m = u64::from_le_bytes(last);
         self.compress(m);
-        self.v2 ^= 0xFF;
+        self.v.v2 ^= 0xFF;
         for _ in 0..self.d_rounds {
-            self.round();
+            self.v.round();
         }
-        self.v0 ^ self.v1 ^ self.v2 ^ self.v3
+        self.v.v0 ^ self.v.v1 ^ self.v.v2 ^ self.v.v3
     }
 
     /// One-shot hash of a byte slice (consumes the hasher's initial state).

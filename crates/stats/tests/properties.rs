@@ -4,9 +4,19 @@
 use microsampler_stats::sequential::association_streaming;
 use microsampler_stats::{
     chi_squared, chi_squared_p_value, cramers_v, cramers_v_corrected, gamma, siphash13,
-    ContingencyTable, StreamingAssociation,
+    ContingencyTable, SipHasher, StreamingAssociation,
 };
 use proptest::prelude::*;
+
+/// SipHash-1-3, SipHash-2-4 and a round count outside the specialised
+/// word-absorb bodies.
+fn sip_variants() -> [fn(u64, u64) -> SipHasher; 3] {
+    [SipHasher::new_1_3, SipHasher::new_2_4, |k0, k1| SipHasher::with_rounds(k0, k1, 3, 5)]
+}
+
+fn le_bytes(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
 
 fn table_strategy() -> impl Strategy<Value = Vec<Vec<u64>>> {
     // Up to 4 classes x 12 categories with counts 0..50.
@@ -165,6 +175,57 @@ proptest! {
             let mut flipped = data.clone();
             flipped[0] ^= 0xFF;
             prop_assert_ne!(siphash13(1, 2, &flipped), h1);
+        }
+    }
+
+    /// The word-slice absorb is an encoding of `write`: after any byte
+    /// prefix (odd lengths leave a partial block buffered), absorbing a
+    /// slice equals per-word `write_u64` and one `write` of the bytes.
+    #[test]
+    fn write_u64s_matches_per_word_and_byte_writes(
+        prefix in proptest::collection::vec(any::<u8>(), 0..20),
+        words in proptest::collection::vec(any::<u64>(), 0..40),
+        key in (any::<u64>(), any::<u64>()),
+    ) {
+        for new in sip_variants() {
+            let start = || {
+                let mut h = new(key.0, key.1);
+                h.write(&prefix);
+                h
+            };
+            let mut bytes = start();
+            bytes.write(&le_bytes(&words));
+            let expect = bytes.finish();
+            let mut slice = start();
+            slice.write_u64s(&words);
+            prop_assert_eq!(slice.finish(), expect);
+            let mut per_word = start();
+            for &w in &words {
+                per_word.write_u64(w);
+            }
+            prop_assert_eq!(per_word.finish(), expect);
+        }
+    }
+
+    /// Slices interleaved with odd-length byte writes (buffered and
+    /// unbuffered states alternating) hash like the concatenated bytes.
+    #[test]
+    fn write_u64s_interleaves_with_partial_byte_writes(
+        chunks in proptest::collection::vec(
+            (proptest::collection::vec(any::<u64>(), 0..9), proptest::collection::vec(any::<u8>(), 0..11)),
+            1..6,
+        ),
+    ) {
+        for new in sip_variants() {
+            let mut mixed = new(7, 9);
+            let mut bytes = Vec::new();
+            for (words, tail) in &chunks {
+                mixed.write_u64s(words);
+                mixed.write(tail);
+                bytes.extend(le_bytes(words));
+                bytes.extend_from_slice(tail);
+            }
+            prop_assert_eq!(mixed.finish(), new(7, 9).hash(&bytes));
         }
     }
 }
