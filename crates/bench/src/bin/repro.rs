@@ -1,27 +1,7 @@
 //! Regenerates the paper's evaluation tables and figures.
 //!
-//! ```text
-//! repro <experiment>... [--keys N] [--key-bytes N] [--reps N]
-//!                       [--trials N] [--seed N] [--threads N]
-//!                       [--full] [--json DIR] [--faults SPEC]
-//!                       [--journal FILE] [--resume FILE] [--retries N]
-//!                       [--trial-timeout SECS]
-//! repro lint [--all | <kernel>...] [--static] [--sarif FILE]
-//!            [--baseline FILE] [--update-baseline] [--spec-depth N]
-//!            [--no-spec] [--trials N] [--seed N] [--threads N]
-//! repro profile [--all | <kernel>...] [--keys N] [--key-bytes N]
-//!               [--seed N] [--threads N] [--out FILE] [--trace-out FILE]
-//! repro audit [--trials N] [--seed N] [--threads N] [--faults SPEC]
-//!             [--full-budget] [--out FILE] [--stats-out FILE]
-//!             [--robustness] [--noise L1,L2,...] [--stability-out FILE]
-//! repro serve --state DIR [--socket PATH] [--queue N] [--per-client N]
-//!             [--job-timeout-ms MS] [--job-retries N] [--backoff-ms MS]
-//! repro submit --socket PATH [--client NAME] [--kernel NAME] [--keys N]
-//!              [--key-bytes N] [--seed N] [--sequential] [--cancel JOB]
-//!              [--status]
-//! experiments: table1 table2 table3 table4 table5 table6 table7
-//!              fig2 fig3 fig4 fig5 fig6 fig7 fig9 fig10 sensitivity all
-//! ```
+//! `repro --help` and `repro <subcommand> --help` list the flags each
+//! surface accepts, generated from the one flag table that parsing uses.
 //!
 //! `--faults` injects seed-deterministic microarchitectural faults into
 //! every modexp trial (see `microsampler_sim::FaultConfig`); `--journal`
@@ -72,6 +52,9 @@ use microsampler_core::association_to_json;
 use microsampler_kernels::modexp::ModexpVariant;
 use microsampler_obs::{diag, diag_error, json, metrics, span, trace_event, Value};
 use microsampler_sim::{CoreConfig, FaultConfig};
+use std::any::Any;
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -94,6 +77,234 @@ const EXPERIMENTS: [&str; 16] = [
     "sensitivity",
 ];
 
+/// A command surface: the experiment runner or one subcommand.
+#[derive(Clone, Copy, PartialEq)]
+enum Sub {
+    Experiments,
+    Lint,
+    Profile,
+    Audit,
+    Serve,
+    Submit,
+}
+use Sub::*;
+
+struct Surface {
+    sub: Sub,
+    /// The subcommand word; empty for the experiment runner.
+    name: &'static str,
+    /// Operands after the subcommand word; empty if it takes none.
+    operands: &'static str,
+}
+
+/// Every surface; the first, the experiment runner, has no subcommand word.
+const SURFACES: [Surface; 6] = [
+    Surface { sub: Experiments, name: "", operands: "<experiment>..." },
+    Surface { sub: Lint, name: "lint", operands: "[<kernel>...]" },
+    Surface { sub: Profile, name: "profile", operands: "[<kernel>...]" },
+    Surface { sub: Audit, name: "audit", operands: "" },
+    Surface { sub: Serve, name: "serve", operands: "" },
+    Surface { sub: Submit, name: "submit", operands: "" },
+];
+
+/// What follows a flag on the command line. `Count(min)` is a `usize` of
+/// at least `min`; `Retries` is a `u32` that still fits once incremented;
+/// `Secs` and `Millis` are [`Duration`]s of at least one unit; `Faults` is
+/// a [`parse_faults`] spec and `Noise` a comma-separated `u32` list.
+#[derive(Clone, Copy)]
+enum Kind {
+    Switch,
+    Count(usize),
+    U64,
+    Retries,
+    Secs,
+    Millis,
+    Path,
+    Str,
+    Faults,
+    Noise,
+}
+use Kind::*;
+
+/// One flag: the single source of its spelling, value kind, help text and
+/// the surfaces that accept it.
+struct Flag {
+    /// The flag and its value's placeholder, as usage text shows them.
+    usage: &'static str,
+    kind: Kind,
+    subs: &'static [Sub],
+    help: &'static str,
+}
+
+const fn flag(usage: &'static str, kind: Kind, subs: &'static [Sub], help: &'static str) -> Flag {
+    Flag { usage, kind, subs, help }
+}
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        self.usage.split(' ').next().unwrap_or(self.usage)
+    }
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("--threads N", Count(1), &[Experiments, Lint, Profile, Audit, Serve], "worker pool size"),
+    flag("--seed N", U64, &[Experiments, Lint, Profile, Audit, Submit], "base RNG seed"),
+    flag("--trials N", Count(1), &[Experiments, Lint, Audit], "trials per Table V primitive"),
+    flag("--keys N", Count(1), &[Experiments, Profile, Submit], "random keys per modexp sweep"),
+    flag("--key-bytes N", Count(1), &[Experiments, Profile, Submit], "bytes per key"),
+    flag("--faults SPEC", Faults, &[Experiments, Audit], "inject faults: comma-separated \
+        seed=N, squash/evict/mshr/drop/flip=RATE per 64k cycles (max 65536), wedge=K (deadlock)"),
+    flag("--help", Switch, &[Experiments, Lint, Profile, Audit, Serve, Submit], "this help, or -h"),
+    flag("--reps N", Count(1), &[Experiments], "repetitions of each CT-MEM-CMP input pair"),
+    flag("--full", Switch, &[Experiments], "paper scale; explicit scale flags override it"),
+    flag("--json DIR", Path, &[Experiments], "write a run report DIR/<experiment>.json"),
+    flag("--journal FILE", Path, &[Experiments], "append a JSONL record per finished trial"),
+    flag("--resume FILE", Path, &[Experiments], "resume a --journal, re-running missing trials"),
+    flag("--retries N", Retries, &[Experiments], "retry failing trials N times (default 1)"),
+    flag("--trial-timeout SECS", Secs, &[Experiments], "quarantine trial attempts running longer"),
+    flag("--sequential", Switch, &[Experiments, Submit], "stop early on an anytime-valid verdict"),
+    flag("--all", Switch, &[Lint, Profile], "every kernel; lint also cross-validates dynamically"),
+    flag("--static", Switch, &[Lint], "skip the dynamic cross-validation of --all"),
+    flag("--sarif FILE", Path, &[Lint], "also write the findings as SARIF"),
+    flag("--baseline FILE", Path, &[Lint], "check verdicts against a baseline (exit 1 if not)"),
+    flag("--update-baseline", Switch, &[Lint], "rewrite --baseline (default lint-baseline.json)"),
+    flag("--spec-depth N", Count(0), &[Lint], "transient window (default: MegaBoom ROB size)"),
+    flag("--no-spec", Switch, &[Lint], "disable speculative taint"),
+    flag("--out FILE", Path, &[Profile, Audit], "the report (profile default: BENCH_sim.json)"),
+    flag("--trace-out FILE", Path, &[Profile], "export spans as Chrome trace-event JSON"),
+    flag("--full-budget", Switch, &[Audit], "spend the whole budget, no early stopping"),
+    flag("--robustness", Switch, &[Audit], "check verdict stability across --noise levels"),
+    flag("--noise L1,L2,...", Noise, &[Audit], "--robustness fault levels (default 0,64,128)"),
+    flag("--stats-out FILE", Path, &[Audit], "write trials-to-verdict (default BENCH_stats.json)"),
+    flag("--stability-out FILE", Path, &[Audit], "write stability curves (default stability.json)"),
+    flag("--socket PATH", Path, &[Serve, Submit], "daemon socket (serve: --state/serve.sock)"),
+    flag("--state DIR", Path, &[Serve], "state directory (default serve-state)"),
+    flag("--queue N", Count(1), &[Serve], "outstanding jobs before busy (default 16)"),
+    flag("--per-client N", Count(1), &[Serve], "outstanding jobs per client (default 4)"),
+    flag("--job-timeout-ms MS", Millis, &[Serve], "wall-clock budget per job attempt"),
+    flag("--job-retries N", Retries, &[Serve], "retries of a timed-out job (default 2)"),
+    flag("--backoff-ms MS", U64, &[Serve], "retry backoff base, capped at 16x (default 250)"),
+    flag("--client NAME", Str, &[Submit], "client tag for quotas (default cli)"),
+    flag("--kernel NAME", Str, &[Submit], "the modexp kernel to audit"),
+    flag("--config mega|small", Str, &[Submit], "the core configuration"),
+    flag("--fast-bypass", Switch, &[Submit], "enable the fast-bypass optimization"),
+    flag("--wedge K", Count(0), &[Submit], "deadlock trial K on purpose"),
+    flag("--max-cycles N", U64, &[Submit], "cycle budget per trial"),
+    flag("--cancel JOB", Str, &[Submit], "cancel a job instead of submitting"),
+    flag("--status", Switch, &[Submit], "query the daemon instead of submitting"),
+];
+
+/// A `--faults` spec: fault rates (`None` if all are zero), trial to wedge.
+type FaultSpec = (Option<FaultConfig>, Option<usize>);
+
+impl Kind {
+    /// Parses one value into what [`Parsed::get`] reads back: `usize`, `u64`,
+    /// `u32`, [`Duration`], [`PathBuf`], `String`, [`FaultSpec`] or `Vec<u32>`.
+    fn parse(self, raw: &str) -> Result<Box<dyn Any>, String> {
+        let int = |min: u64, max: u64| {
+            let n = raw.parse::<u64>().ok().filter(|n| (min..=max).contains(n));
+            let range =
+                if max == u64::MAX { format!(">= {min}") } else { format!("in {min}..={max}") };
+            n.ok_or(format!("expected an integer {range}"))
+        };
+        Ok(match self {
+            Switch => Box::new(()),
+            Count(min) => Box::new(int(min as u64, usize::MAX as u64)? as usize),
+            U64 => Box::new(int(0, u64::MAX)?),
+            Retries => Box::new(int(0, u64::from(u32::MAX) - 1)? as u32),
+            Secs => Box::new(Duration::from_secs(int(1, u64::MAX)?)),
+            Millis => Box::new(Duration::from_millis(int(1, u64::MAX)?)),
+            Path => Box::new(PathBuf::from(raw)),
+            Str => Box::new(raw.to_owned()),
+            Faults => Box::new(parse_faults(raw)?),
+            Noise => Box::new(
+                raw.split(',')
+                    .map(|s| s.parse::<u32>().map_err(|_| format!("level `{s}` is not an integer")))
+                    .collect::<Result<Vec<u32>, String>>()?,
+            ),
+        })
+    }
+}
+
+/// A validated command line: operands plus the typed value of every flag
+/// given (the last one wins if a flag repeats).
+#[derive(Default)]
+struct Parsed {
+    operands: Vec<String>,
+    values: BTreeMap<&'static str, Box<dyn Any>>,
+}
+
+impl Parsed {
+    fn on(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
+    }
+
+    /// The value of `flag`, as the type its [`Kind`] parses to.
+    fn get<T: Any + Clone>(&self, flag: &str) -> Option<T> {
+        let value = self.values.get(flag)?.downcast_ref::<T>();
+        Some(value.unwrap_or_else(|| panic!("{flag} is not read as its table kind")).clone())
+    }
+}
+
+/// Walks `args` once against the flags surface `s` accepts and collects
+/// its operands. Nothing takes effect here; `--help` ends the walk.
+fn parse(s: &Surface, args: &[String]) -> Result<Parsed, String> {
+    let mut parsed = Parsed::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let name = if arg == "-h" { "--help" } else { arg };
+        let Some(flag) = FLAGS.iter().find(|f| f.name() == name && f.subs.contains(&s.sub)) else {
+            if arg.starts_with('-') || s.operands.is_empty() {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+            parsed.operands.push(arg.clone());
+            continue;
+        };
+        let raw = match flag.kind {
+            Switch => "",
+            _ => args.next().ok_or_else(|| format!("`{}` is missing its value", flag.usage))?,
+        };
+        let value =
+            flag.kind.parse(raw).map_err(|e| format!("invalid {name} value `{raw}`: {e}"))?;
+        parsed.values.insert(flag.name(), value);
+        if name == "--help" {
+            break;
+        }
+    }
+    Ok(parsed)
+}
+
+impl Surface {
+    /// The surface's command line with every flag but `--help`.
+    fn synopsis(&self) -> String {
+        let flags = FLAGS.iter().filter(|f| f.subs.contains(&self.sub) && f.name() != "--help");
+        let words = ["repro", self.name, self.operands].map(String::from).into_iter();
+        let words = words.chain(flags.map(|f| format!("[{}]", f.usage)));
+        words.filter(|w| !w.is_empty()).collect::<Vec<_>>().join(" ")
+    }
+}
+
+/// Prints every surface's synopsis and the experiment names.
+fn usage() {
+    for (i, s) in SURFACES.iter().enumerate() {
+        eprintln!("{} {}", if i == 0 { "usage:" } else { "      " }, s.synopsis());
+    }
+    eprintln!("experiments: {} all", EXPERIMENTS.join(" "));
+}
+
+/// Prints the synopsis of `s` (of every surface for the experiment
+/// runner) and one line per flag it accepts.
+fn help(s: &Surface) {
+    match s.sub {
+        Experiments => usage(),
+        _ => eprintln!("usage: {}", s.synopsis()),
+    }
+    for f in FLAGS.iter().filter(|f| f.subs.contains(&s.sub)) {
+        eprintln!("  {:<24} {}", f.usage, f.help);
+    }
+}
+
 fn main() -> ExitCode {
     // CLI errors must be visible even though library diagnostics default
     // to silent; respect an explicit MICROSAMPLER_LOG if one is set.
@@ -101,127 +312,93 @@ fn main() -> ExitCode {
         diag::set_max_level(Some(diag::Level::Error));
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("lint") {
-        return lint_main(&args[1..]);
+    let named = SURFACES[1..].iter().find(|s| args.first().is_some_and(|a| a == s.name));
+    let (surface, rest) = named.map_or((&SURFACES[0], &args[..]), |s| (s, &args[1..]));
+    let p = parse(surface, rest).unwrap_or_else(|e| fail(&e));
+    if p.on("--help") {
+        help(surface);
+        return ExitCode::SUCCESS;
     }
-    if args.first().map(String::as_str) == Some("profile") {
-        return profile_main(&args[1..]);
+    // Only now that the whole command line is valid. set_threads clamps
+    // absurd counts to the host's available parallelism (with a warning).
+    if let Some(n) = p.get("--threads") {
+        microsampler_par::set_threads(Some(n));
     }
-    if args.first().map(String::as_str) == Some("audit") {
-        return audit_main(&args[1..]);
+    match surface.sub {
+        Experiments => experiments_main(&p),
+        Lint => lint_main(&p),
+        Profile => profile_main(&p),
+        Audit => audit_main(&p),
+        #[cfg(unix)]
+        Serve => serve_main(&p),
+        #[cfg(unix)]
+        Submit => submit_main(&p),
+        #[cfg(not(unix))]
+        Serve | Submit => fail("serve and submit need a unix host"),
     }
-    #[cfg(unix)]
-    if args.first().map(String::as_str) == Some("serve") {
-        return serve_main(&args[1..]);
+}
+
+fn fail(msg: &str) -> ! {
+    // Unconditional: a usage error must be visible even under
+    // MICROSAMPLER_LOG=off (which silences the diag sink entirely).
+    eprintln!("repro: {msg}");
+    usage();
+    std::process::exit(2)
+}
+
+/// The experiment scale: `--full` picks the base and explicit flags
+/// override it wherever they stand on the command line.
+fn scale(p: &Parsed) -> Scale {
+    let base = if p.on("--full") { Scale::full() } else { Scale::default() };
+    Scale {
+        keys: p.get("--keys").unwrap_or(base.keys),
+        key_bytes: p.get("--key-bytes").unwrap_or(base.key_bytes),
+        memcmp_reps: p.get("--reps").unwrap_or(base.memcmp_reps),
+        primitive_trials: p.get("--trials").unwrap_or(base.primitive_trials),
+        seed: p.get("--seed").unwrap_or(base.seed),
     }
-    #[cfg(unix)]
-    if args.first().map(String::as_str) == Some("submit") {
-        return submit_main(&args[1..]);
-    }
-    let mut scale = Scale::default();
-    let mut wanted: Vec<String> = Vec::new();
-    let mut json_dir: Option<std::path::PathBuf> = None;
+}
+
+/// `repro <experiment>...`: runs each experiment, optionally through the
+/// isolation harness and with a `--json` run report per experiment.
+fn experiments_main(p: &Parsed) -> ExitCode {
+    let scale = scale(p);
     let mut sweep_opts = sweep::SweepOptions::default();
-    let mut sweep_requested = false;
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_path = |i: &mut usize, flag: &str| -> std::path::PathBuf {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a path after {flag}"))).into()
-        };
-        match args[i].as_str() {
-            "--keys" => scale.keys = take_num(&mut i),
-            "--key-bytes" => scale.key_bytes = take_num(&mut i),
-            "--reps" => scale.memcmp_reps = take_num(&mut i),
-            "--trials" => scale.primitive_trials = take_num(&mut i),
-            "--seed" => scale.seed = take_num(&mut i) as u64,
-            "--threads" => {
-                i += 1;
-                let raw = args.get(i).unwrap_or_else(|| fail("expected a number after --threads"));
-                match raw.parse::<usize>() {
-                    Ok(0) => fail("--threads must be at least 1"),
-                    // set_threads clamps absurd counts to the host's
-                    // available parallelism (with a warning).
-                    Ok(n) => microsampler_par::set_threads(Some(n)),
-                    Err(_) => fail(&format!(
-                        "invalid --threads value `{raw}`: expected a positive integer"
-                    )),
-                }
-            }
-            "--full" => scale = Scale::full(),
-            "--faults" => {
-                i += 1;
-                let spec =
-                    args.get(i).unwrap_or_else(|| fail("expected a fault spec after --faults"));
-                match parse_faults(spec) {
-                    Ok((faults, wedge_trial)) => {
-                        sweep_opts.faults = faults;
-                        sweep_opts.wedge_trial = wedge_trial;
-                        sweep_requested = true;
-                    }
-                    Err(e) => fail(&format!("invalid --faults spec `{spec}`: {e}")),
-                }
-            }
-            "--journal" => {
-                sweep_opts.journal = Some(take_path(&mut i, "--journal"));
-                sweep_requested = true;
-            }
-            "--resume" => {
-                let path = take_path(&mut i, "--resume");
-                // Validate up front: a missing or corrupt journal must be
-                // a usage error, not a silently-ignored restart.
-                if let Err(e) = sweep::load_journal(&path) {
-                    fail(&format!("cannot resume: {e}"));
-                }
-                sweep_opts.journal = Some(path);
-                sweep_opts.resume = true;
-                sweep_requested = true;
-            }
-            "--retries" => {
-                // N retries = N+1 attempts; 0 disables retrying.
-                sweep_opts.policy.max_attempts = take_num(&mut i) as u32 + 1;
-                sweep_requested = true;
-            }
-            "--sequential" => {
-                sweep_opts.sequential = Some(microsampler_core::SeqConfig::default());
-                sweep_requested = true;
-            }
-            "--trial-timeout" => {
-                sweep_opts.policy.timeout = Some(Duration::from_secs(take_num(&mut i) as u64));
-                sweep_requested = true;
-            }
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => json_dir = Some(dir.into()),
-                    None => fail("expected a directory after --json"),
-                }
-            }
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') => wanted.push(other.to_owned()),
-            other => fail(&format!("unknown flag `{other}`")),
+    (sweep_opts.faults, sweep_opts.wedge_trial) = p.get("--faults").unwrap_or_default();
+    sweep_opts.journal = p.get("--journal");
+    if let Some(path) = p.get::<PathBuf>("--resume") {
+        // A missing or corrupt journal must be a usage error, not a
+        // silently-ignored restart.
+        let state =
+            sweep::load_journal(&path).unwrap_or_else(|e| fail(&format!("cannot resume: {e}")));
+        // A journal written under different FaultConfig rates or fault seed
+        // holds trials from a different distribution; mixing them into this
+        // run would silently bias the statistics.
+        let current = sweep::options_config_hash(&sweep_opts);
+        if let Some(recorded) = state.config_hash.filter(|recorded| *recorded != current) {
+            fail(&format!(
+                "cannot resume {}: the journal was written under a different FaultConfig or \
+                 fault seed (journal config {recorded}, current {current}); restore the original \
+                 --faults spec or start a fresh journal",
+                path.display()
+            ));
         }
-        i += 1;
+        sweep_opts.journal = Some(path);
+        sweep_opts.resume = true;
     }
+    // N retries = N+1 attempts; 0 disables retrying.
+    let attempts = p.get::<u32>("--retries").map(|retries| retries + 1);
+    sweep_opts.policy.max_attempts = attempts.unwrap_or(sweep_opts.policy.max_attempts);
+    sweep_opts.sequential = p.on("--sequential").then(microsampler_core::SeqConfig::default);
+    sweep_opts.policy.timeout = p.get("--trial-timeout").or(sweep_opts.policy.timeout);
+    let harness =
+        ["--faults", "--journal", "--resume", "--retries", "--sequential", "--trial-timeout"];
+    let sweep_requested = harness.iter().any(|f| p.on(f));
+    let json_dir: Option<PathBuf> = p.get("--json");
+    let mut wanted = p.operands.clone();
     if wanted.is_empty() {
-        usage();
+        help(&SURFACES[0]);
         return ExitCode::FAILURE;
-    }
-    if scale.keys == 0
-        || scale.key_bytes == 0
-        || scale.memcmp_reps == 0
-        || scale.primitive_trials == 0
-    {
-        fail("--keys, --key-bytes, --reps and --trials must be at least 1");
     }
     if wanted.iter().any(|w| w == "all") {
         wanted = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
@@ -236,28 +413,6 @@ fn main() -> ExitCode {
     if let Some(dir) = &json_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             fail(&format!("cannot create --json directory {}: {e}", dir.display()));
-        }
-    }
-    // A journal written under different FaultConfig rates or fault seed
-    // holds trials from a different distribution; mixing them into this
-    // run would silently bias the statistics. Checked after the whole
-    // arg loop so a later `--faults` cannot dodge it.
-    if sweep_opts.resume {
-        if let Some(path) = &sweep_opts.journal {
-            if let Ok(state) = sweep::load_journal(path) {
-                if let Some(recorded) = &state.config_hash {
-                    let current = sweep::options_config_hash(&sweep_opts);
-                    if *recorded != current {
-                        fail(&format!(
-                            "cannot resume {}: the journal was written under a different \
-                             FaultConfig or fault seed (journal config {recorded}, current \
-                             {current}); restore the original --faults spec or start a fresh \
-                             journal",
-                            path.display()
-                        ));
-                    }
-                }
-            }
         }
     }
     if sweep_requested {
@@ -304,19 +459,11 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn fail(msg: &str) -> ! {
-    // Unconditional: a usage error must be visible even under
-    // MICROSAMPLER_LOG=off (which silences the diag sink entirely).
-    eprintln!("repro: {msg}");
-    usage();
-    std::process::exit(2)
-}
-
 /// Parses a `--faults` spec: comma-separated `key=value` pairs with keys
 /// `seed`, `squash`, `evict`, `mshr`, `drop`, `flip` (rates are
 /// probabilities per 64k cycles, at most 65536) and `wedge=K` (wedge
 /// trial K's core — a deliberate deadlock).
-fn parse_faults(spec: &str) -> Result<(Option<FaultConfig>, Option<usize>), String> {
+fn parse_faults(spec: &str) -> Result<FaultSpec, String> {
     let mut faults = FaultConfig::default();
     let mut wedge_trial = None;
     for part in spec.split(',') {
@@ -349,74 +496,22 @@ fn parse_faults(spec: &str) -> Result<(Option<FaultConfig>, Option<usize>), Stri
     Ok((faults.any().then_some(faults), wedge_trial))
 }
 
-/// `repro lint [--all | <kernel>...] [--static] [--sarif FILE]
-/// [--baseline FILE] [--update-baseline] [--spec-depth N] [--no-spec]
-/// [--trials N] [--seed N] [--threads N]`.
-///
-/// Exit codes: 0 = all analyzed kernels are clean, 3 = architectural
-/// constant-time violations were found, 4 = only transient (CT-SPEC)
-/// violations were found, 1 = verdicts diverge from `--baseline`,
-/// 2 = usage error.
-fn lint_main(args: &[String]) -> ExitCode {
-    let mut scale = Scale::default();
-    let mut names: Vec<String> = Vec::new();
-    let mut all = false;
-    let mut static_only = false;
-    let mut sarif_path: Option<std::path::PathBuf> = None;
-    let mut baseline_path: Option<std::path::PathBuf> = None;
-    let mut update_baseline = false;
-    let mut spec_depth: Option<usize> = None;
-    let mut no_spec = false;
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_path = |i: &mut usize, flag: &str| -> std::path::PathBuf {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a path after {flag}"))).into()
-        };
-        match args[i].as_str() {
-            "--all" => all = true,
-            "--static" => static_only = true,
-            "--sarif" => sarif_path = Some(take_path(&mut i, "--sarif")),
-            "--baseline" => baseline_path = Some(take_path(&mut i, "--baseline")),
-            "--update-baseline" => update_baseline = true,
-            "--spec-depth" => spec_depth = Some(take_num(&mut i)),
-            "--no-spec" => no_spec = true,
-            "--trials" => scale.primitive_trials = take_num(&mut i),
-            "--seed" => scale.seed = take_num(&mut i) as u64,
-            "--threads" => match take_num(&mut i) {
-                0 => fail("--threads must be at least 1"),
-                n => microsampler_par::set_threads(Some(n)),
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') => names.push(other.to_owned()),
-            other => fail(&format!("unknown lint flag `{other}`")),
-        }
-        i += 1;
-    }
+/// `repro lint`. Exit codes: 0 = all analyzed kernels are clean,
+/// 3 = architectural constant-time violations were found, 4 = only
+/// transient (CT-SPEC) violations were found, 1 = verdicts diverge from
+/// `--baseline`, 2 = usage error.
+fn lint_main(p: &Parsed) -> ExitCode {
+    let scale = scale(p);
+    let (all, names) = (p.on("--all"), &p.operands);
+    let baseline_path: Option<PathBuf> = p.get("--baseline");
     if all != names.is_empty() {
         fail("lint takes either --all or at least one kernel name, not both");
     }
-    if scale.primitive_trials == 0 {
-        fail("--trials must be at least 1");
-    }
-    if no_spec && spec_depth.is_some() {
-        fail("--no-spec and --spec-depth are mutually exclusive");
-    }
-    let spec = if no_spec {
-        microsampler_ct::SpecModel::disabled()
-    } else {
-        spec_depth.map_or_else(microsampler_ct::SpecModel::default, |depth| {
-            microsampler_ct::SpecModel { depth }
-        })
+    let spec = match (p.on("--no-spec"), p.get("--spec-depth")) {
+        (true, Some(_)) => fail("--no-spec and --spec-depth are mutually exclusive"),
+        (true, None) => microsampler_ct::SpecModel::disabled(),
+        (false, None) => microsampler_ct::SpecModel::default(),
+        (false, Some(depth)) => microsampler_ct::SpecModel { depth },
     };
     let results = if all {
         lint::lint_static_all_with(spec)
@@ -446,23 +541,23 @@ fn lint_main(args: &[String]) -> ExitCode {
         arch_leaky,
         transient_only
     );
-    if let Some(path) = &sarif_path {
+    if let Some(path) = p.get::<PathBuf>("--sarif") {
         let pairs: Vec<(&microsampler_ct::StaticReport, u64)> =
             results.iter().map(|r| (&r.report, r.text_base)).collect();
         let doc = microsampler_ct::sarif_document(&pairs);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
+        if let Err(e) = std::fs::write(&path, doc.render_pretty()) {
             fail(&format!("cannot write {}: {e}", path.display()));
         }
         println!("wrote {}", path.display());
     }
     // Cross-validate static vs dynamic verdicts over the real primitives
     // (--all only; fixtures are static-only regression anchors).
-    if all && !static_only {
+    if all && !p.on("--static") {
         println!("\n== cross-validation: static taint vs dynamic audit ==");
         let cross = lint::lint_crossval(&results, &scale);
         print!("{cross}");
     }
-    if update_baseline {
+    if p.on("--update-baseline") {
         let path =
             baseline_path.clone().unwrap_or_else(|| std::path::PathBuf::from("lint-baseline.json"));
         match write_baseline(&path, &results) {
@@ -494,65 +589,21 @@ fn lint_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro profile [--all | <kernel>...] [--keys N] [--key-bytes N]
-/// [--seed N] [--threads N] [--out FILE] [--trace-out FILE]`.
-///
-/// Exit codes: 0 = profiled and `BENCH_sim.json` written, 1 = a kernel
+/// `repro profile`. Exit codes: 0 = profiled and `BENCH_sim.json` written, 1 = a kernel
 /// failed or reported zero IPC/throughput, 2 = usage error.
-fn profile_main(args: &[String]) -> ExitCode {
+fn profile_main(p: &Parsed) -> ExitCode {
     let mut opts = profile::ProfileOptions::default();
-    let mut names: Vec<String> = Vec::new();
-    let mut all = false;
-    let mut out = std::path::PathBuf::from("BENCH_sim.json");
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_path = |i: &mut usize, flag: &str| -> std::path::PathBuf {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a path after {flag}"))).into()
-        };
-        match args[i].as_str() {
-            "--all" => all = true,
-            "--keys" => opts.keys = take_num(&mut i),
-            "--key-bytes" => opts.key_bytes = take_num(&mut i),
-            "--seed" => opts.seed = take_num(&mut i) as u64,
-            "--threads" => match take_num(&mut i) {
-                0 => fail("--threads must be at least 1"),
-                n => microsampler_par::set_threads(Some(n)),
-            },
-            "--out" => out = take_path(&mut i, "--out"),
-            "--trace-out" => trace_out = Some(take_path(&mut i, "--trace-out")),
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') => names.push(other.to_owned()),
-            other => fail(&format!("unknown profile flag `{other}`")),
-        }
-        i += 1;
-    }
+    opts.keys = p.get("--keys").unwrap_or(opts.keys);
+    opts.key_bytes = p.get("--key-bytes").unwrap_or(opts.key_bytes);
+    opts.seed = p.get("--seed").unwrap_or(opts.seed);
+    let (all, names) = (p.on("--all"), &p.operands);
+    let out = p.get("--out").unwrap_or_else(|| PathBuf::from("BENCH_sim.json"));
+    let trace_out: Option<PathBuf> = p.get("--trace-out");
     if all != names.is_empty() {
         fail("profile takes either --all or at least one kernel name, not both");
     }
-    if opts.keys == 0 || opts.key_bytes == 0 {
-        fail("--keys and --key-bytes must be at least 1");
-    }
     if !all {
-        opts.kernels = names
-            .iter()
-            .map(|n| {
-                ModexpVariant::ALL.iter().copied().find(|v| v.name() == n).unwrap_or_else(|| {
-                    let known: Vec<&str> = ModexpVariant::ALL.iter().map(|v| v.name()).collect();
-                    fail(&format!("unknown kernel `{n}` (expected one of {})", known.join(", ")))
-                })
-            })
-            .collect();
+        opts.kernels = names.iter().map(|n| modexp_kernel(n)).collect();
     }
     let config = CoreConfig::mega_boom();
     if trace_out.is_some() {
@@ -596,13 +647,18 @@ fn profile_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro audit [--trials N] [--seed N] [--threads N] [--faults SPEC]
-/// [--full-budget] [--out FILE] [--stats-out FILE] [--robustness]
-/// [--noise L1,L2,...] [--stability-out FILE]`.
-///
-/// Runs the 27-primitive Table V audit under anytime-valid early
-/// stopping (default) or the fixed budget (`--full-budget`), printing
-/// one row per primitive with its stopping point and writing the
+/// The modexp kernel called `name`; a usage error naming every kernel if
+/// there is none.
+fn modexp_kernel(name: &str) -> ModexpVariant {
+    ModexpVariant::ALL.iter().copied().find(|v| v.name() == name).unwrap_or_else(|| {
+        let known: Vec<&str> = ModexpVariant::ALL.iter().map(|v| v.name()).collect();
+        fail(&format!("unknown kernel `{name}` (expected one of {})", known.join(", ")))
+    })
+}
+
+/// `repro audit`: runs the 27-primitive Table V audit under anytime-valid
+/// early stopping (default) or the fixed budget (`--full-budget`),
+/// printing one row per primitive with its stopping point and writing the
 /// `microsampler-stats-bench-v1` trials-to-verdict benchmark. With
 /// `--robustness`, replays the audit in both modes across the fault
 /// noise ladder and writes per-primitive verdict-stability curves
@@ -611,74 +667,21 @@ fn profile_main(args: &[String]) -> ExitCode {
 /// Exit codes: 0 = all verdicts clean and stable, 3 = a leak was
 /// flagged (or, under `--robustness`, a primitive is UNSTABLE),
 /// 1 = a primitive failed to simulate, 2 = usage error.
-fn audit_main(args: &[String]) -> ExitCode {
+fn audit_main(p: &Parsed) -> ExitCode {
     use microsampler_bench::audit;
     let mut opts = audit::AuditOptions::default();
-    let mut robustness = false;
-    let mut noise: Vec<u32> = audit::DEFAULT_NOISE_LEVELS.to_vec();
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut stats_out = std::path::PathBuf::from("BENCH_stats.json");
-    let mut stability_out = std::path::PathBuf::from("stability.json");
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_path = |i: &mut usize, flag: &str| -> std::path::PathBuf {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a path after {flag}"))).into()
-        };
-        match args[i].as_str() {
-            "--trials" => match take_num(&mut i) {
-                0 => fail("--trials must be at least 1"),
-                n => opts.trials = n,
-            },
-            "--seed" => opts.seed = take_num(&mut i) as u64,
-            "--threads" => match take_num(&mut i) {
-                0 => fail("--threads must be at least 1"),
-                n => microsampler_par::set_threads(Some(n)),
-            },
-            "--faults" => {
-                i += 1;
-                let spec =
-                    args.get(i).unwrap_or_else(|| fail("expected a fault spec after --faults"));
-                match parse_faults(spec) {
-                    Ok((faults, None)) => opts.faults = faults,
-                    Ok((_, Some(_))) => fail("audit does not take wedge= in --faults"),
-                    Err(e) => fail(&format!("invalid --faults spec `{spec}`: {e}")),
-                }
-            }
-            "--full-budget" => opts.early_stop = false,
-            "--robustness" => robustness = true,
-            "--noise" => {
-                i += 1;
-                let spec = args.get(i).unwrap_or_else(|| fail("expected levels after --noise"));
-                noise = spec
-                    .split(',')
-                    .map(|s| {
-                        s.parse::<u32>().unwrap_or_else(|_| {
-                            fail(&format!("invalid --noise level `{s}`: expected an integer"))
-                        })
-                    })
-                    .collect();
-                if noise.is_empty() {
-                    fail("--noise needs at least one level");
-                }
-            }
-            "--out" => out = Some(take_path(&mut i, "--out")),
-            "--stats-out" => stats_out = take_path(&mut i, "--stats-out"),
-            "--stability-out" => stability_out = take_path(&mut i, "--stability-out"),
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other => fail(&format!("unknown audit flag `{other}`")),
-        }
-        i += 1;
+    opts.trials = p.get("--trials").unwrap_or(opts.trials);
+    opts.seed = p.get("--seed").unwrap_or(opts.seed);
+    opts.early_stop = !p.on("--full-budget");
+    let (faults, wedge_trial): FaultSpec = p.get("--faults").unwrap_or_default();
+    if wedge_trial.is_some() {
+        fail("audit does not take wedge= in --faults");
     }
+    opts.faults = faults;
+    let noise = p.get("--noise").unwrap_or_else(|| audit::DEFAULT_NOISE_LEVELS.to_vec());
+    let out: Option<PathBuf> = p.get("--out");
+    let stats_out = p.get("--stats-out").unwrap_or_else(|| PathBuf::from("BENCH_stats.json"));
+    let stability_out = p.get("--stability-out").unwrap_or_else(|| PathBuf::from("stability.json"));
 
     let rows = audit::run_audit(&opts);
     println!(
@@ -725,7 +728,7 @@ fn audit_main(args: &[String]) -> ExitCode {
     }
 
     let mut unstable = 0usize;
-    if robustness {
+    if p.on("--robustness") {
         println!("\n== verdict stability across fault noise (per-64k levels {noise:?}) ==");
         let curves = audit::robustness(&opts, &noise);
         for c in &curves {
@@ -775,63 +778,23 @@ fn audit_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro serve --socket PATH --state DIR [--queue N] [--per-client N]
-/// [--job-timeout-ms MS] [--job-retries N] [--backoff-ms MS]
-/// [--threads N]`.
-///
-/// Runs the leakage-audit daemon until SIGTERM/SIGINT, then drains
-/// in-flight jobs and exits 0. Exit codes: 0 = clean shutdown,
-/// 1 = setup or drain failure, 2 = usage error.
+/// `repro serve`: runs the leakage-audit daemon until SIGTERM/SIGINT,
+/// then drains in-flight jobs and exits 0. Exit codes: 0 = clean
+/// shutdown, 1 = setup or drain failure, 2 = usage error.
 #[cfg(unix)]
-fn serve_main(args: &[String]) -> ExitCode {
+fn serve_main(p: &Parsed) -> ExitCode {
     use microsampler_bench::serve;
     let mut opts = serve::ServeOptions::default();
-    let mut socket: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_path = |i: &mut usize, flag: &str| -> std::path::PathBuf {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a path after {flag}"))).into()
-        };
-        match args[i].as_str() {
-            "--socket" => socket = Some(take_path(&mut i, "--socket")),
-            "--state" => opts.state_dir = take_path(&mut i, "--state"),
-            "--queue" => match take_num(&mut i) {
-                0 => fail("--queue must be at least 1"),
-                n => opts.queue_cap = n,
-            },
-            "--per-client" => match take_num(&mut i) {
-                0 => fail("--per-client must be at least 1"),
-                n => opts.per_client = n,
-            },
-            "--job-timeout-ms" => {
-                opts.job_timeout = Some(Duration::from_millis(take_num(&mut i) as u64));
-            }
-            "--job-retries" => opts.job_retries = take_num(&mut i) as u32,
-            "--backoff-ms" => {
-                let base = Duration::from_millis(take_num(&mut i) as u64);
-                opts.backoff_base = base;
-                opts.backoff_cap = base.saturating_mul(16);
-            }
-            "--threads" => match take_num(&mut i) {
-                0 => fail("--threads must be at least 1"),
-                n => microsampler_par::set_threads(Some(n)),
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other => fail(&format!("unknown serve flag `{other}`")),
-        }
-        i += 1;
+    opts.state_dir = p.get("--state").unwrap_or(opts.state_dir);
+    opts.queue_cap = p.get("--queue").unwrap_or(opts.queue_cap);
+    opts.per_client = p.get("--per-client").unwrap_or(opts.per_client);
+    opts.job_timeout = p.get("--job-timeout-ms").or(opts.job_timeout);
+    opts.job_retries = p.get("--job-retries").unwrap_or(opts.job_retries);
+    if let Some(ms) = p.get("--backoff-ms") {
+        opts.backoff_base = Duration::from_millis(ms);
+        opts.backoff_cap = opts.backoff_base.saturating_mul(16);
     }
-    opts.socket = socket.unwrap_or_else(|| opts.state_dir.join("serve.sock"));
+    opts.socket = p.get("--socket").unwrap_or_else(|| opts.state_dir.join("serve.sock"));
     match serve::serve(opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -841,88 +804,48 @@ fn serve_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro submit --socket PATH [--client NAME] [--kernel NAME]
-/// [--config mega|small] [--fast-bypass] [--keys N] [--key-bytes N]
-/// [--seed N] [--wedge K] [--max-cycles N] [--sequential] [--cancel JOB]
-/// [--status]`.
-///
-/// Submits one audit job to a running `repro serve` daemon (or cancels
-/// a job / queries status), echoing every streamed line to stdout.
-/// Exit codes: 0 = clean verdict (or ack), 3 = leaky verdict,
-/// 4 = quarantined, 5 = cancelled, 6 = busy rejection, 1 = connection
-/// or protocol error, 2 = usage error.
+/// `repro submit`: submits one audit job to a running `repro serve`
+/// daemon (or cancels a job / queries status), echoing every streamed
+/// line to stdout. Exit codes: 0 = clean verdict (or ack), 3 = leaky
+/// verdict, 4 = quarantined, 5 = cancelled, 6 = busy rejection,
+/// 1 = connection or protocol error, 2 = usage error.
 #[cfg(unix)]
-fn submit_main(args: &[String]) -> ExitCode {
+fn submit_main(p: &Parsed) -> ExitCode {
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
 
-    let mut socket: Option<std::path::PathBuf> = None;
     let mut request = Value::object().field("op", "submit");
-    let mut client = "cli".to_string();
-    let mut cancel_job: Option<String> = None;
-    let mut status = false;
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_str = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a value after {flag}"))).clone()
-        };
-        match args[i].as_str() {
-            "--socket" => socket = Some(take_str(&mut i, "--socket").into()),
-            "--client" => client = take_str(&mut i, "--client"),
-            "--kernel" => {
-                let name = take_str(&mut i, "--kernel");
-                if !ModexpVariant::ALL.iter().any(|v| v.name() == name) {
-                    let known: Vec<&str> = ModexpVariant::ALL.iter().map(|v| v.name()).collect();
-                    fail(&format!(
-                        "unknown kernel `{name}` (expected one of {})",
-                        known.join(", ")
-                    ));
-                }
-                request = request.field("kernel", name);
-            }
-            "--config" => {
-                let name = take_str(&mut i, "--config");
-                if name != "mega" && name != "small" {
-                    fail(&format!("unknown config `{name}` (expected mega or small)"));
-                }
-                request = request.field("config", name);
-            }
-            "--fast-bypass" => request = request.field("fast_bypass", true),
-            "--keys" => match take_num(&mut i) {
-                0 => fail("--keys must be at least 1"),
-                n => request = request.field("keys", n),
-            },
-            "--key-bytes" => match take_num(&mut i) {
-                0 => fail("--key-bytes must be at least 1"),
-                n => request = request.field("key_bytes", n),
-            },
-            "--seed" => request = request.field("seed", take_num(&mut i) as u64),
-            "--wedge" => request = request.field("wedge", take_num(&mut i)),
-            "--max-cycles" => request = request.field("max_cycles", take_num(&mut i) as u64),
-            "--sequential" => request = request.field("sequential", true),
-            "--cancel" => cancel_job = Some(take_str(&mut i, "--cancel")),
-            "--status" => status = true,
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other => fail(&format!("unknown submit flag `{other}`")),
-        }
-        i += 1;
+    if let Some(name) = p.get::<String>("--kernel") {
+        request = request.field("kernel", modexp_kernel(&name).name());
     }
-    let socket = socket.unwrap_or_else(|| fail("submit needs --socket PATH"));
-    let request = if status {
+    if let Some(name) = p.get::<String>("--config") {
+        if name != "mega" && name != "small" {
+            fail(&format!("unknown config `{name}` (expected mega or small)"));
+        }
+        request = request.field("config", name);
+    }
+    for (flag, key) in [("--fast-bypass", "fast_bypass"), ("--sequential", "sequential")] {
+        if p.on(flag) {
+            request = request.field(key, true);
+        }
+    }
+    for (flag, key) in [("--keys", "keys"), ("--key-bytes", "key_bytes"), ("--wedge", "wedge")] {
+        if let Some(n) = p.get::<usize>(flag) {
+            request = request.field(key, n);
+        }
+    }
+    for (flag, key) in [("--seed", "seed"), ("--max-cycles", "max_cycles")] {
+        if let Some(n) = p.get::<u64>(flag) {
+            request = request.field(key, n);
+        }
+    }
+    let socket: PathBuf = p.get("--socket").unwrap_or_else(|| fail("submit needs --socket PATH"));
+    let request = if p.on("--status") {
         Value::object().field("op", "status").build()
-    } else if let Some(job) = cancel_job {
+    } else if let Some(job) = p.get::<String>("--cancel") {
         Value::object().field("op", "cancel").field("job", job).build()
     } else {
+        let client = p.get("--client").unwrap_or_else(|| "cli".to_string());
         request.field("client", client).build()
     };
     let mut stream = match UnixStream::connect(&socket) {
@@ -1042,105 +965,6 @@ fn write_baseline(path: &std::path::Path, results: &[lint::LintResult]) -> Resul
         let _ = std::fs::remove_file(&tmp);
         format!("cannot rename {} to {}: {e}", tmp.display(), path.display())
     })
-}
-
-fn usage() {
-    eprintln!(
-        "usage: repro <experiment>... [--keys N] [--key-bytes N] [--reps N] [--trials N] \
-         [--seed N] [--threads N] [--full] [--json DIR] [--faults SPEC] [--journal FILE] \
-         [--resume FILE] [--retries N] [--trial-timeout SECS]"
-    );
-    eprintln!(
-        "       repro lint [--all | <kernel>...] [--static] [--sarif FILE] [--baseline FILE] \
-         [--update-baseline] [--spec-depth N] [--no-spec] [--trials N] [--seed N] [--threads N]"
-    );
-    eprintln!(
-        "       repro profile [--all | <kernel>...] [--keys N] [--key-bytes N] [--seed N] \
-         [--threads N] [--out FILE] [--trace-out FILE]"
-    );
-    eprintln!(
-        "       repro audit [--trials N] [--seed N] [--threads N] [--faults SPEC] \
-         [--full-budget] [--out FILE] [--stats-out FILE] [--robustness] \
-         [--noise L1,L2,...] [--stability-out FILE]"
-    );
-    eprintln!(
-        "       repro serve --state DIR [--socket PATH] [--queue N] [--per-client N] \
-         [--job-timeout-ms MS] [--job-retries N] [--backoff-ms MS] [--threads N]"
-    );
-    eprintln!(
-        "       repro submit --socket PATH [--client NAME] [--kernel NAME] \
-         [--config mega|small] [--fast-bypass] [--keys N] [--key-bytes N] [--seed N] \
-         [--wedge K] [--max-cycles N] [--sequential] [--cancel JOB] [--status]"
-    );
-    eprintln!("experiments: {} all", EXPERIMENTS.join(" "));
-    eprintln!("--json DIR writes a machine-readable run report per experiment");
-    eprintln!(
-        "--faults SPEC injects microarchitectural faults into every trial; SPEC is \
-         comma-separated key=value with keys seed, squash, evict, mshr, drop, flip \
-         (rates per 64k cycles, max 65536) and wedge=K (deadlock trial K)"
-    );
-    eprintln!(
-        "--journal FILE appends one JSONL record per finished trial; --resume FILE \
-         restores completed trials from a journal and re-runs only the missing ones \
-         (refused with exit 2 if the journal's FaultConfig rates or fault seed differ \
-         from the current flags)"
-    );
-    eprintln!(
-        "--sequential judges every sweep against an anytime-valid confidence sequence \
-         and stops as soon as it closes, appending a microsampler-stop-v1 stopping \
-         trace to the journal"
-    );
-    eprintln!(
-        "audit runs the 27 Table V primitives under adaptive sequential early stopping \
-         (freed budget reflows to undecided primitives) and writes the \
-         microsampler-stats-bench-v1 trials-to-verdict benchmark; --robustness replays \
-         early-stop vs full-budget across --noise fault levels and writes \
-         microsampler-stability-v1 stability curves, exiting 3 on any UNSTABLE verdict"
-    );
-    eprintln!(
-        "--retries N retries failing trials up to N times (default 1); \
-         --trial-timeout SECS quarantines trials exceeding the wall-clock budget. \
-         Any of these flags routes trials through the isolation harness: failing \
-         trials are quarantined (listed under `trials` in --json reports) instead \
-         of aborting the sweep"
-    );
-    eprintln!(
-        "--threads N sizes the worker pool; precedence: --threads, then the \
-         MICROSAMPLER_THREADS env var, then all available cores"
-    );
-    eprintln!(
-        "lint statically checks kernels for constant-time violations, including \
-         transient (CT-SPEC) leaks down mispredicted branch arms; --all also \
-         cross-validates against the dynamic audit (skip with --static), both \
-         under MegaBoom and under adversarial speculation"
-    );
-    eprintln!(
-        "lint --spec-depth N bounds the transient window in instructions (default: \
-         the MegaBoom ROB size); --no-spec disables speculative taint; \
-         --update-baseline atomically rewrites the --baseline file (default \
-         lint-baseline.json) with current verdicts, sorted by name"
-    );
-    eprintln!(
-        "lint exit codes: 0 = clean, 3 = architectural violations found, 4 = only \
-         transient (CT-SPEC) violations found, 1 = --baseline verdict mismatch, \
-         2 = usage error"
-    );
-    eprintln!(
-        "profile sweeps modexp kernels with the pipeline profiler and writes the \
-         BENCH_sim.json throughput baseline (--out, default BENCH_sim.json); \
-         --trace-out FILE exports a Chrome trace-event JSON (ui.perfetto.dev)"
-    );
-    eprintln!(
-        "serve runs the leakage-audit daemon on a unix socket: submitted jobs are \
-         WAL-logged, trial journals are content-addressed (resubmitting an \
-         unchanged job replays for free), kill -9 recovers bit-identically on \
-         restart, and SIGTERM drains in-flight jobs before exiting 0"
-    );
-    eprintln!(
-        "submit exit codes: 0 = clean verdict/ack, 3 = leaky, 4 = quarantined, \
-         5 = cancelled, 6 = busy (queue-full, client-quota, or shutting-down), \
-         1 = connection/protocol error, 2 = usage error"
-    );
 }
 
 fn scale_to_json(s: &Scale) -> Value {
@@ -1499,4 +1323,30 @@ fn table6_to_json(t: &exp::Table6) -> Value {
         .field("iterations", t.iterations)
         .field("cycles", t.cycles)
         .build()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scale_of(args: &[&str]) -> (usize, usize, usize, usize, u64) {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let s = scale(&parse(&SURFACES[0], &args).unwrap());
+        (s.keys, s.key_bytes, s.memcmp_reps, s.primitive_trials, s.seed)
+    }
+
+    #[test]
+    fn full_scale_is_overridden_by_explicit_flags_in_either_order() {
+        let before = scale_of(&["table6", "--keys", "1", "--key-bytes", "1", "--full"]);
+        let after = scale_of(&["table6", "--full", "--keys", "1", "--key-bytes", "1"]);
+        let full = Scale::full();
+        assert_eq!(before, (1, 1, full.memcmp_reps, full.primitive_trials, full.seed));
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn every_flag_has_one_row() {
+        let names: std::collections::BTreeSet<&str> = FLAGS.iter().map(Flag::name).collect();
+        assert_eq!(names.len(), FLAGS.len());
+    }
 }

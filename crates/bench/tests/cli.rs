@@ -30,6 +30,34 @@ fn bad_flags_exit_with_usage_error() {
         &["fig7", "--resume", "/nonexistent/journal.jsonl"],
         &["fig7", "--keys", "0"],
         &["nonsense-experiment"],
+        &["fig7", "--trial-timeout", "0"],
+        &["fig7", "--retries", "4294967296"],
+        &["lint", "--bogus"],
+        &["lint", "--spec-depth"],
+        &["lint", "--seed", "abc"],
+        &["lint", "--threads", "0"],
+        &["lint", "--trials", "0"],
+        &["profile", "--bogus"],
+        &["profile", "--out"],
+        &["profile", "--key-bytes", "abc"],
+        &["profile", "--threads", "0"],
+        &["profile", "--keys", "0"],
+        &["audit", "--bogus"],
+        &["audit", "--noise"],
+        &["audit", "--seed", "abc"],
+        &["audit", "--threads", "0"],
+        &["audit", "--trials", "0"],
+        &["serve", "--bogus"],
+        &["serve", "--state"],
+        &["serve", "--queue", "abc"],
+        &["serve", "--threads", "0"],
+        &["serve", "--queue", "0"],
+        &["serve", "--per-client", "0"],
+        &["serve", "--job-retries", "4294967296"],
+        &["submit", "--bogus"],
+        &["submit", "--socket"],
+        &["submit", "--max-cycles", "abc"],
+        &["submit", "--keys", "0"],
     ];
     for args in cases {
         let out = repro().args(*args).output().expect("repro runs");
@@ -40,6 +68,62 @@ fn bad_flags_exit_with_usage_error() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+}
+
+/// `repro <surface> --help` exits 0 and its synopsis line names exactly
+/// the flags that surface accepts. The lists are literal, so a flag
+/// dropped from (or added to) the CLI's flag table fails this test.
+#[test]
+fn help_lists_every_flag_of_each_surface() {
+    let surfaces: &[(&[&str], &str)] = &[
+        (
+            &["--help"],
+            "--keys --key-bytes --reps --trials --seed --threads --full --json --faults --journal \
+             --resume --retries --sequential --trial-timeout",
+        ),
+        (
+            &["lint", "--help"],
+            "--all --static --sarif --baseline --update-baseline --spec-depth --no-spec --trials \
+             --seed --threads",
+        ),
+        (&["profile", "-h"], "--all --keys --key-bytes --seed --threads --out --trace-out"),
+        (
+            &["audit", "--help"],
+            "--trials --seed --threads --faults --full-budget --robustness --noise --out \
+             --stats-out --stability-out",
+        ),
+        (
+            &["serve", "--help"],
+            "--socket --state --queue --per-client --job-timeout-ms --job-retries --backoff-ms \
+             --threads",
+        ),
+        (
+            &["submit", "--help"],
+            "--socket --client --kernel --config --fast-bypass --keys --key-bytes --seed --wedge \
+             --max-cycles --sequential --cancel --status",
+        ),
+    ];
+    let mut pairs = 0;
+    for (args, flags) in surfaces {
+        let out = repro().args(*args).output().expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        let synopsis = stderr.lines().next().unwrap_or_default();
+        let mut listed: Vec<&str> = synopsis
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        let mut expected: Vec<&str> = flags.split_whitespace().collect();
+        listed.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(listed, expected, "{args:?} synopsis: {synopsis}");
+        for flag in &expected {
+            let described = stderr.lines().any(|l| l.trim_start().starts_with(&format!("{flag} ")));
+            assert!(described, "{args:?} help describes {flag}: {stderr}");
+        }
+        pairs += expected.len();
+    }
+    assert_eq!(pairs, 62);
 }
 
 /// The usage text lists exactly the experiments `repro` accepts: `fig8`
