@@ -16,9 +16,8 @@ pub mod serve;
 pub mod sweep;
 
 use microsampler_core::{analyze, AnalysisReport};
-use microsampler_kernels::inputs::random_keys;
-use microsampler_kernels::modexp::{ModexpKernel, ModexpVariant};
-use microsampler_sim::{CoreConfig, IterationTrace, TraceConfig};
+use microsampler_kernels::modexp::ModexpVariant;
+use microsampler_sim::{CoreConfig, IterationTrace};
 
 /// Scale parameters shared by the experiments.
 #[derive(Clone, Copy, Debug)]
@@ -52,22 +51,20 @@ impl Scale {
 /// Runs a modexp variant over `n_keys` random keys and returns the pooled
 /// labeled iterations.
 ///
-/// The per-key trials are independent and fan out across the
-/// [`microsampler_par`] worker pool; the pooled iterations are
-/// concatenated in key order, so the result is bit-identical to a serial
-/// sweep at every thread count.
-///
-/// When the `repro` CLI has installed [`sweep::SweepOptions`] that demand
-/// isolation (fault injection, a journal, resume, or `--retries`), the
-/// per-key trials are routed through [`sweep::run_modexp_sweep`] instead:
-/// failing trials are quarantined and the pooled iterations cover the
-/// surviving trials only.
+/// The per-key trials run through [`sweep::run_modexp_sweep`] under the
+/// options the `repro` CLI installed with [`sweep::set_options`], or
+/// [`sweep::SweepOptions::default`] when none are installed. The trials
+/// fan out across the [`microsampler_par`] worker pool and the pooled
+/// iterations are concatenated in key order, so the result is
+/// bit-identical to a serial sweep at every thread count.
 ///
 /// # Panics
 ///
-/// On the legacy fail-fast path (no sweep options installed): panics if a
-/// kernel fails to assemble or simulate, or if the simulated result
-/// diverges from the reference model (a harness bug).
+/// Unless the options set [`isolate`](sweep::SweepOptions::isolate), panics
+/// naming the first quarantined trial: a kernel that fails to assemble or
+/// simulate, or whose result diverges from the reference model (a harness
+/// bug). With `isolate` set, the iterations cover the surviving trials
+/// only.
 pub fn run_modexp_iterations(
     variant: ModexpVariant,
     config: &CoreConfig,
@@ -75,22 +72,8 @@ pub fn run_modexp_iterations(
     key_bytes: usize,
     seed: u64,
 ) -> Vec<IterationTrace> {
-    if let Some(opts) = sweep::options().filter(sweep::SweepOptions::wants_isolation) {
-        return sweep::run_modexp_sweep(variant, config, n_keys, key_bytes, seed, &opts).iterations;
-    }
-    let kernel = ModexpKernel::new(variant, key_bytes);
-    let keys = random_keys(n_keys, key_bytes, seed);
-    let done = std::sync::atomic::AtomicUsize::new(0);
-    let per_key = microsampler_par::map(&keys, |_, key| {
-        let run = kernel
-            .run(config.clone(), key, TraceConfig::default())
-            .unwrap_or_else(|e| panic!("{} failed: {e}", variant.name()));
-        assert_eq!(run.exit_code, kernel.reference(key), "{} functional check", variant.name());
-        let finished = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-        microsampler_obs::diag::progress(variant.name(), finished, n_keys);
-        run.iterations
-    });
-    per_key.into_iter().flatten().collect()
+    let opts = sweep::options().unwrap_or_default();
+    sweep::run_modexp_sweep(variant, config, n_keys, key_bytes, seed, &opts).iterations
 }
 
 /// Runs and analyzes a modexp variant (the common shape of Figs. 3/4/7/9).

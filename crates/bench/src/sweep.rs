@@ -2,12 +2,15 @@
 //! isolation with bounded retry, and a JSONL journal enabling
 //! checkpoint/resume (`repro --resume`).
 //!
-//! The harness wraps the same per-key modexp trials that
-//! [`run_modexp_iterations`](crate::run_modexp_iterations) fans out, but
-//! runs each one behind [`microsampler_par::map_isolated`]: a trial that
-//! deadlocks, exhausts its cycle budget, or panics is *quarantined* — the
-//! sweep completes with partial results and the quarantine list flows into
-//! the `repro --json` run report instead of sinking hours of work.
+//! Every modexp trial runs here: [`run_modexp_sweep`] is the one trial
+//! path behind [`run_modexp_iterations`](crate::run_modexp_iterations),
+//! the `repro serve` jobs and every modexp figure. It runs each per-key
+//! trial behind [`microsampler_par::map_isolated`]: a trial that
+//! deadlocks, exhausts its cycle budget, fails its functional check or
+//! panics is *quarantined*. With [`SweepOptions::isolate`] the sweep
+//! completes with partial results and the quarantine list flows into the
+//! `repro --json` run report instead of sinking hours of work; without it
+//! (the default) the sweep panics naming the first quarantined trial.
 //!
 //! # Journal format
 //!
@@ -48,9 +51,8 @@ pub const HEADER_SCHEMA: &str = "microsampler-journal-header-v1";
 
 /// Harness-wide sweep configuration, installed by the `repro` CLI via
 /// [`set_options`] and consulted by
-/// [`run_modexp_iterations`](crate::run_modexp_iterations). The default
-/// (no options installed) preserves the legacy fail-fast panic path
-/// bit-for-bit.
+/// [`run_modexp_iterations`](crate::run_modexp_iterations), which runs
+/// under the default when none are installed.
 #[derive(Clone, Debug, Default)]
 pub struct SweepOptions {
     /// Fault-injection rates applied to every trial (re-seeded per trial
@@ -59,8 +61,9 @@ pub struct SweepOptions {
     /// Trial index whose core is wedged at [`microsampler_sim::WEDGE_CYCLE`]
     /// (a deliberate deadlock, for exercising quarantine end-to-end).
     pub wedge_trial: Option<usize>,
-    /// Run trials behind the isolation boundary even with no faults or
-    /// journal configured.
+    /// Pool the surviving trials when some are quarantined. When false,
+    /// [`run_modexp_sweep`] panics naming the first quarantined trial, so
+    /// a plain run still fails loudly on a functional mismatch.
     pub isolate: bool,
     /// Retry/timeout policy for isolated trials.
     pub policy: IsolationPolicy,
@@ -84,22 +87,6 @@ pub struct SweepOptions {
     /// [`TrialEventKind::EarlyStopped`] and the stopping trace in
     /// [`SweepOutcome::stop`] (and the journal).
     pub sequential: Option<SeqConfig>,
-}
-
-impl SweepOptions {
-    /// Whether any knob requires routing trials through the isolation
-    /// harness instead of the legacy fail-fast path.
-    pub fn wants_isolation(&self) -> bool {
-        self.isolate
-            || self.faults.is_some()
-            || self.wedge_trial.is_some()
-            || self.journal.is_some()
-            || self.resume
-            || self.max_cycles.is_some()
-            || self.cancel.is_some()
-            || self.deadline.is_some()
-            || self.sequential.is_some()
-    }
 }
 
 static OPTIONS: Mutex<Option<SweepOptions>> = Mutex::new(None);
@@ -682,6 +669,11 @@ impl Drop for PanicTick<'_> {
 /// key order regardless of which trials were restored, so the analysis is
 /// bit-identical to an uninterrupted sweep over the same surviving
 /// trials.
+///
+/// # Panics
+///
+/// Without [`SweepOptions::isolate`], panics naming the first quarantined
+/// trial once every trial has finished and been journaled.
 pub fn run_modexp_sweep(
     variant: ModexpVariant,
     config: &CoreConfig,
@@ -808,8 +800,7 @@ pub fn run_modexp_sweep(
     let mut stop_bound = n_keys;
     match opts.sequential {
         None => {
-            let outcomes =
-                microsampler_par::map_isolated_ctl(&opts.policy, &ctl, &all_work, run_trial);
+            let outcomes = microsampler_par::map_isolated(&opts.policy, &ctl, &all_work, run_trial);
             fresh.extend(all_work.iter().copied().zip(outcomes));
         }
         Some(cfg) => {
@@ -820,7 +811,7 @@ pub fn run_modexp_sweep(
                 let segment: Vec<usize> =
                     (next_key..bound).filter(|i| !restored.contains_key(i)).collect();
                 let outcomes =
-                    microsampler_par::map_isolated_ctl(&opts.policy, &ctl, &segment, run_trial);
+                    microsampler_par::map_isolated(&opts.policy, &ctl, &segment, run_trial);
                 fresh.extend(segment.iter().copied().zip(outcomes));
                 // Pool this segment in key order — restored and fresh
                 // interleave exactly as an uninterrupted sweep would, so
@@ -864,8 +855,7 @@ pub fn run_modexp_sweep(
                 // the resume re-runs precisely that set.
                 let rest: Vec<usize> =
                     (next_key..n_keys).filter(|i| !restored.contains_key(i)).collect();
-                let outcomes =
-                    microsampler_par::map_isolated_ctl(&opts.policy, &ctl, &rest, run_trial);
+                let outcomes = microsampler_par::map_isolated(&opts.policy, &ctl, &rest, run_trial);
                 fresh.extend(rest.iter().copied().zip(outcomes));
             }
             let trace = analyzer.trace().clone();
@@ -915,7 +905,7 @@ pub fn run_modexp_sweep(
             out.iterations.extend(iters);
             continue;
         }
-        match fresh.get(&i) {
+        match fresh.remove(&i) {
             Some(TrialOutcome::Completed(iters)) => {
                 out.completed += 1;
                 record_event(TrialEvent {
@@ -925,7 +915,7 @@ pub fn run_modexp_sweep(
                     message: None,
                     attempts: 0,
                 });
-                out.iterations.extend(iters.iter().cloned());
+                out.iterations.extend(iters);
             }
             // Cancelled/deadline-skipped trials are neither journaled nor
             // quarantined: a resume re-runs exactly this set.
@@ -935,7 +925,7 @@ pub fn run_modexp_sweep(
                     id: trial_id(i),
                     kind: TrialEventKind::Cancelled,
                     class: Some(f.class),
-                    message: Some(f.message.clone()),
+                    message: Some(f.message),
                     attempts: f.attempts,
                 });
             }
@@ -943,7 +933,7 @@ pub fn run_modexp_sweep(
                 let q = QuarantinedTrial {
                     id: trial_id(i),
                     class: f.class,
-                    message: f.message.clone(),
+                    message: f.message,
                     attempts: f.attempts,
                 };
                 diag_warn!(
@@ -967,6 +957,12 @@ pub fn run_modexp_sweep(
             }
             None => unreachable!("every non-restored index has an outcome"),
         }
+    }
+    if let (false, Some(q)) = (opts.isolate, out.quarantined.first()) {
+        panic!(
+            "trial {} quarantined after {} attempts ({}): {}",
+            q.id, q.attempts, q.class, q.message
+        );
     }
     out
 }

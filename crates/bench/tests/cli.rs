@@ -246,6 +246,24 @@ fn wedged_sweep_completes_quarantines_and_resumes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A run without sweep flags goes through the same trial path as a
+/// journaled one, so its run report counts every trial it ran.
+#[test]
+fn plain_run_report_counts_completed_trials() {
+    let dir = tmp_dir("plain-trials");
+    let out = repro()
+        .args(["fig7", "--keys", "2", "--key-bytes", "1", "--json"])
+        .arg(&dir)
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let report = parse_report(&dir.join("fig7.json"));
+    let trials = report.get("trials").expect("run report carries a trials section");
+    assert_eq!(trials.get("completed").unwrap().as_u64(), Some(2), "one per key");
+    assert_eq!(trials.get("quarantined").unwrap().as_array().unwrap().len(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Resuming a journal recorded under different FaultConfig rates (or a
 /// different fault seed) would mix trials from two distributions into
 /// one statistic; the CLI must refuse with exit 2 and name the hashes.

@@ -206,3 +206,47 @@ fn exhausted_cycle_budget_is_quarantined_after_retry() {
     assert!(events.iter().all(|e| e.kind == TrialEventKind::Quarantined));
     sweep::reset_events();
 }
+
+/// `run_modexp_iterations` has one failure rule: without `isolate` a
+/// quarantined trial panics, naming its id; with `isolate` the surviving
+/// trials are pooled. The options are process-global, so they are cleared
+/// before any assertion can unwind past them.
+#[test]
+fn plain_run_panics_naming_the_quarantined_trial_unless_isolated() {
+    let _l = LOCK.lock().unwrap();
+    sweep::reset_events();
+    let run = |opts: SweepOptions| {
+        sweep::set_options(Some(opts));
+        let got = std::panic::catch_unwind(|| {
+            microsampler_bench::run_modexp_iterations(
+                ModexpVariant::V2Safe,
+                &CoreConfig::mega_boom(),
+                2,
+                1,
+                5,
+            )
+        });
+        sweep::set_options(None);
+        sweep::reset_events();
+        got
+    };
+    let budget = SweepOptions { max_cycles: Some(500), ..SweepOptions::default() };
+
+    let panic = run(SweepOptions { isolate: false, ..budget.clone() })
+        .expect_err("a quarantined trial must fail a plain run");
+    let message = panic.downcast_ref::<String>().expect("formatted panic message");
+    let id =
+        format!("{}/{}/kb1/s5/key0000", ModexpVariant::V2Safe.name(), CoreConfig::mega_boom().name);
+    assert!(message.contains(&id), "names the trial: {message}");
+    assert!(message.contains("cycle budget"), "carries the failure: {message}");
+
+    let pooled = run(SweepOptions { isolate: true, ..budget }).expect("isolated runs pool");
+    assert!(pooled.is_empty(), "no trial survives 500 cycles, so nothing is pooled");
+
+    let wedged = SweepOptions { wedge_trial: Some(0), isolate: true, ..SweepOptions::default() };
+    let survivors = run(wedged.clone()).expect("isolated runs pool");
+    let expect = sweep_with(&wedged, 2, 5).iterations;
+    sweep::reset_events();
+    assert!(!survivors.is_empty(), "trial 1 survives the wedge on trial 0");
+    assert_eq!(survivors, expect, "exactly the surviving trial's iterations");
+}

@@ -2,9 +2,9 @@
 //!
 //! The paper's workload is dominated by embarrassingly parallel work:
 //! independent simulated trials (per key, per primitive, per escalation
-//! round), per-unit snapshot-hash folding, and per-unit statistical
-//! analysis. This crate provides the one primitive all three layers share:
-//! a scoped `std::thread` worker pool ([`map`] / [`map_mut`]) with
+//! round) and per-unit statistical analysis. This crate provides the one
+//! primitive both layers share: a scoped `std::thread` worker pool
+//! ([`map`]) with
 //!
 //! * a chunked work-stealing queue (workers grab index ranges from a shared
 //!   atomic cursor, so uneven task costs still balance),
@@ -134,20 +134,10 @@ pub fn threads() -> usize {
     available()
 }
 
-/// Whether the current thread is a pool worker. [`map`] / [`map_mut`]
-/// called from a worker run serially inline (nesting protection).
+/// Whether the current thread is a pool worker. [`map`] called from a
+/// worker runs serially inline (nesting protection).
 pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
-}
-
-/// Resolves an explicit per-call request (`0` = use [`threads`]),
-/// clamping absurd values like [`set_threads`] does.
-pub fn resolve(requested: usize) -> usize {
-    match requested {
-        0 => threads(),
-        n if n > MAX_THREADS => available(),
-        n => n,
-    }
 }
 
 /// Chunk size targeting ~4 grabs per worker, so slow chunks can be
@@ -171,72 +161,11 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    map_with(0, items, f)
-}
-
-/// [`map`] with an explicit worker count (`0` = resolve via [`threads`]).
-/// Lets a caller carry its own configuration (e.g. the tracer's
-/// `TraceConfig::threads`) without touching the process-wide override.
-pub fn map_with<T, R, F>(threads_requested: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = resolve(threads_requested).min(items.len());
+    let workers = threads().min(items.len());
     if workers <= 1 || in_worker() {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     run_pool(items.len(), workers, |i| f(i, &items[i]))
-}
-
-struct SyncPtr<T>(*mut T);
-impl<T> Clone for SyncPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SyncPtr<T> {}
-// SAFETY: the pool's stealing cursor hands every index to exactly one
-// worker, so concurrent `&mut` access through the pointer never aliases.
-unsafe impl<T: Send> Send for SyncPtr<T> {}
-unsafe impl<T: Send> Sync for SyncPtr<T> {}
-
-/// [`map`] with mutable access to each item (e.g. draining per-unit row
-/// buffers into their hashers). Same ordering, stealing, nesting and
-/// panic semantics.
-pub fn map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    map_mut_with(0, items, f)
-}
-
-/// [`map_mut`] with an explicit worker count (`0` = resolve via
-/// [`threads`]).
-pub fn map_mut_with<T, R, F>(threads_requested: usize, items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let workers = resolve(threads_requested).min(items.len());
-    if workers <= 1 || in_worker() {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let base = SyncPtr(items.as_mut_ptr());
-    let n = items.len();
-    run_pool(n, workers, move |i| {
-        // Capture the `SyncPtr` wrapper, not the raw pointer field, so the
-        // closure stays `Sync` under edition-2021 disjoint capture.
-        let base = base;
-        debug_assert!(i < n);
-        // SAFETY: i < n, and the cursor assigns each index to one worker.
-        let item = unsafe { &mut *base.0.add(i) };
-        f(i, item)
-    })
 }
 
 /// Cooperative cancellation token shared between a pool run and its
@@ -245,7 +174,7 @@ where
 /// Cancellation is a latch: once [`cancel`](CancelToken::cancel) fires,
 /// every clone observes it and it never resets. Tasks already running are
 /// not interrupted — the pool simply stops *starting* work, so a
-/// cancelled [`map_isolated_ctl`] run drains quickly (bounded by the
+/// cancelled [`map_isolated`] run drains quickly (bounded by the
 /// longest single task) and the skipped tasks report
 /// [`FailureClass::Cancelled`].
 #[derive(Clone, Debug, Default)]
@@ -278,7 +207,7 @@ pub enum StopReason {
     DeadlineExceeded,
 }
 
-/// Control surface for [`map_isolated_ctl`]: cooperative cancellation and
+/// Control surface for [`map_isolated`]: cooperative cancellation and
 /// an optional wall-clock deadline. The default (no token, no deadline)
 /// never stops a run early.
 #[derive(Clone, Debug, Default)]
@@ -533,22 +462,13 @@ where
 /// The task receives `(index, item, attempt)` with `attempt` counting
 /// from 0, so callers can salt retries (e.g. re-seed a fault plan per
 /// attempt). Ordering, stealing, and nesting semantics match [`map`].
-pub fn map_isolated<T, R, F>(policy: &IsolationPolicy, items: &[T], f: F) -> Vec<TrialOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, u32) -> Result<R, String> + Sync,
-{
-    map_isolated_ctl(policy, &RunControl::default(), items, f)
-}
-
-/// [`map_isolated`] under a [`RunControl`]: once the control's token is
-/// cancelled or its deadline passes, tasks that have not started (and
-/// retries that have not begun) are skipped with
-/// [`FailureClass::Cancelled`] instead of running. Tasks already
-/// executing finish normally, so the pooled results stay deterministic
-/// for every task that did run.
-pub fn map_isolated_ctl<T, R, F>(
+///
+/// Once `ctl`'s token is cancelled or its deadline passes, tasks that have
+/// not started (and retries that have not begun) are skipped with
+/// [`FailureClass::Cancelled`] instead of running. Tasks already executing
+/// finish normally, so the pooled results stay deterministic for every
+/// task that did run. `RunControl::default()` never stops a run early.
+pub fn map_isolated<T, R, F>(
     policy: &IsolationPolicy,
     ctl: &RunControl,
     items: &[T],
@@ -559,9 +479,7 @@ where
     R: Send,
     F: Fn(usize, &T, u32) -> Result<R, String> + Sync,
 {
-    let policy = *policy;
-    let ctl = ctl.clone();
-    map(items, move |i, item| run_isolated(&policy, &ctl, i, item, &f))
+    map(items, |i, item| run_isolated(policy, ctl, i, item, &f))
 }
 
 /// The scoped pool core: `workers` threads steal chunked index ranges
@@ -668,21 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn map_mut_updates_every_item_once() {
-        let _l = LOCK.lock().unwrap();
-        let mut items: Vec<u64> = vec![0; 57];
-        let returned = with_threads(4, || {
-            map_mut(&mut items, |i, slot| {
-                *slot += i as u64 + 1;
-                *slot
-            })
-        });
-        let want: Vec<u64> = (0..57).map(|i| i + 1).collect();
-        assert_eq!(items, want);
-        assert_eq!(returned, want);
-    }
-
-    #[test]
     fn empty_and_single_item_inputs() {
         let _l = LOCK.lock().unwrap();
         let empty: [u64; 0] = [];
@@ -756,7 +659,9 @@ mod tests {
         let _l = LOCK.lock().unwrap();
         let items: Vec<u64> = (0..23).collect();
         let outcomes = with_threads(4, || {
-            map_isolated(&IsolationPolicy::default(), &items, |_, &x, _| Ok(x * 2))
+            map_isolated(&IsolationPolicy::default(), &RunControl::default(), &items, |_, &x, _| {
+                Ok(x * 2)
+            })
         });
         let values: Vec<u64> = outcomes.into_iter().map(|o| o.completed().unwrap()).collect();
         let want: Vec<u64> = items.iter().map(|&x| x * 2).collect();
@@ -768,7 +673,7 @@ mod tests {
         let _l = LOCK.lock().unwrap();
         let items: Vec<u64> = (0..8).collect();
         let outcomes = with_threads(4, || {
-            map_isolated(&IsolationPolicy::default(), &items, |_, &x, _| {
+            map_isolated(&IsolationPolicy::default(), &RunControl::default(), &items, |_, &x, _| {
                 assert!(x != 5, "trial 5 exploded");
                 Ok::<u64, String>(x)
             })
@@ -785,13 +690,18 @@ mod tests {
         let _l = LOCK.lock().unwrap();
         let items = [1u64, 2, 3];
         let outcomes = with_threads(2, || {
-            map_isolated(&IsolationPolicy::default(), &items, |_, &x, attempt| {
-                if x == 2 && attempt == 0 {
-                    Err("transient wobble".to_string())
-                } else {
-                    Ok(x * 10 + attempt as u64)
-                }
-            })
+            map_isolated(
+                &IsolationPolicy::default(),
+                &RunControl::default(),
+                &items,
+                |_, &x, attempt| {
+                    if x == 2 && attempt == 0 {
+                        Err("transient wobble".to_string())
+                    } else {
+                        Ok(x * 10 + attempt as u64)
+                    }
+                },
+            )
         });
         assert_eq!(outcomes[0], TrialOutcome::Completed(10));
         assert_eq!(outcomes[1], TrialOutcome::Completed(21), "succeeded on the retry attempt");
@@ -805,7 +715,7 @@ mod tests {
         metrics::reset();
         let items = [0u64];
         let outcomes = with_threads(1, || {
-            map_isolated(&IsolationPolicy::default(), &items, |_, _, _| {
+            map_isolated(&IsolationPolicy::default(), &RunControl::default(), &items, |_, _, _| {
                 Err::<u64, String>("deadlock: no commit for 20000 cycles".to_string())
             })
         });
@@ -859,7 +769,9 @@ mod tests {
         };
         let start = Instant::now();
         let outcomes = with_threads(1, || {
-            map_isolated(&policy, &[0u64], |_, _, _| Err::<u64, String>("always fails".into()))
+            map_isolated(&policy, &RunControl::default(), &[0u64], |_, _, _| {
+                Err::<u64, String>("always fails".into())
+            })
         });
         // Two retries: 20ms + 40ms of scheduled backoff.
         assert!(start.elapsed() >= Duration::from_millis(60), "backoff must be slept");
@@ -874,7 +786,7 @@ mod tests {
         let ctl = RunControl { cancel: Some(token.clone()), deadline: None };
         let items: Vec<u64> = (0..8).collect();
         let outcomes = with_threads(2, || {
-            map_isolated_ctl(&IsolationPolicy::default(), &ctl, &items, |_, &x, _| Ok(x))
+            map_isolated(&IsolationPolicy::default(), &ctl, &items, |_, &x, _| Ok(x))
         });
         for o in &outcomes {
             let failure = o.failure().expect("pre-cancelled run never starts a task");
@@ -893,7 +805,7 @@ mod tests {
         let items: Vec<u64> = (0..64).collect();
         let outcomes = with_threads(1, || {
             let token = token.clone();
-            map_isolated_ctl(&IsolationPolicy::default(), &ctl, &items, move |i, &x, _| {
+            map_isolated(&IsolationPolicy::default(), &ctl, &items, move |i, &x, _| {
                 if i == 2 {
                     token.cancel();
                 }
@@ -910,7 +822,7 @@ mod tests {
         let _l = LOCK.lock().unwrap();
         let ctl = RunControl { cancel: None, deadline: Some(Instant::now()) };
         let outcomes = with_threads(1, || {
-            map_isolated_ctl(&IsolationPolicy::default(), &ctl, &[1u64], |_, &x, _| Ok(x))
+            map_isolated(&IsolationPolicy::default(), &ctl, &[1u64], |_, &x, _| Ok(x))
         });
         let failure = outcomes[0].failure().expect("expired deadline skips the task");
         assert_eq!(failure.class, FailureClass::Cancelled);
@@ -925,7 +837,9 @@ mod tests {
             retry_timeouts: false,
             ..IsolationPolicy::default()
         };
-        let outcomes = with_threads(1, || map_isolated(&policy, &[7u64], |_, &x, _| Ok(x)));
+        let outcomes = with_threads(1, || {
+            map_isolated(&policy, &RunControl::default(), &[7u64], |_, &x, _| Ok(x))
+        });
         let failure = outcomes[0].failure().expect("zero budget times out");
         assert_eq!(failure.class, FailureClass::TimedOut);
         assert_eq!(failure.attempts, 1);
