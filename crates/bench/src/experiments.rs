@@ -225,8 +225,9 @@ pub fn table6_for(config: &CoreConfig, scale: &Scale) -> Table6 {
     let iterations = {
         let _root = span::span("table6");
         // Stage 1: simulate with text-log emission (the paper's printf
-        // trace); `Machine::run` attributes this under "simulate".
-        let mut logs = Vec::new();
+        // trace); `Machine::run` attributes this under "simulate". Each
+        // machine keeps its log for stage 2.
+        let mut machines = Vec::new();
         for key in &keys {
             let mut machine = kernel
                 .machine(config.clone(), key, TraceConfig::default())
@@ -234,11 +235,12 @@ pub fn table6_for(config: &CoreConfig, scale: &Scale) -> Table6 {
             machine.enable_log();
             let run = machine.run(200_000_000).expect("simulation completes");
             cycles += run.cycles;
-            logs.push(machine.log_text().expect("log enabled").to_owned());
+            machines.push(machine);
         }
         // Stage 2: parse logs into iteration snapshots ("parse").
         let mut iterations = Vec::new();
-        for log in &logs {
+        for machine in &machines {
+            let log = machine.log_text().expect("log enabled");
             iterations.extend(parse_text_log(log, TraceConfig::default()).expect("log parses"));
         }
         // Stage 3: correlation analysis ("correlate").

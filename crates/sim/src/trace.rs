@@ -360,7 +360,8 @@ pub struct Tracer {
     /// Guards double-counting a drop when the same cycle is begun twice
     /// (the parser replays one `D` record per lost cycle).
     counted_drop_for: Option<u64>,
-    log: Option<String>,
+    /// The text log, ASCII by construction.
+    log: Option<Vec<u8>>,
 }
 
 impl Tracer {
@@ -385,12 +386,25 @@ impl Tracer {
 
     /// Starts accumulating the text log (paper's simulator-log pipeline).
     pub fn enable_log(&mut self) {
-        self.log = Some(String::from("# MicroSampler trace log v1\n"));
+        self.log = Some(b"# MicroSampler trace log v1\n".to_vec());
     }
 
     /// The accumulated text log, if enabled.
     pub fn log_text(&self) -> Option<&str> {
-        self.log.as_deref()
+        let log = self.log.as_deref()?;
+        Some(std::str::from_utf8(log).expect("the text log is written in ASCII"))
+    }
+
+    /// Appends one marker line, `M <kind> <cycle>` and `args`, to the log.
+    fn log_marker(&mut self, kind: &str, cycle: u64, args: &[u64]) {
+        if let Some(log) = &mut self.log {
+            log.extend_from_slice(b"M ");
+            log.extend_from_slice(kind.as_bytes());
+            for &v in std::iter::once(&cycle).chain(args) {
+                push_dec(log, v);
+            }
+            log.push(b'\n');
+        }
     }
 
     /// Whether sampling should run this cycle.
@@ -401,17 +415,13 @@ impl Tracer {
     /// Handles an `SCR_START` marker commit.
     pub fn scr_start(&mut self, cycle: u64) {
         self.in_scr = true;
-        if let Some(log) = &mut self.log {
-            log.push_str(&format!("M SCR_START {cycle}\n"));
-        }
+        self.log_marker("SCR_START", cycle, &[]);
     }
 
     /// Handles an `SCR_END` marker commit.
     pub fn scr_end(&mut self, cycle: u64) {
         self.in_scr = false;
-        if let Some(log) = &mut self.log {
-            log.push_str(&format!("M SCR_END {cycle}\n"));
-        }
+        self.log_marker("SCR_END", cycle, &[]);
     }
 
     /// Handles an `ITER_START` marker commit. An unterminated previous
@@ -426,9 +436,7 @@ impl Tracer {
             pipeline: PipelineStats::default(),
             units: (0..UnitId::COUNT).map(|_| UnitBuilder::new(self.cfg.keep_matrices)).collect(),
         });
-        if let Some(log) = &mut self.log {
-            log.push_str(&format!("M ITER_START {cycle} {label}\n"));
-        }
+        self.log_marker("ITER_START", cycle, &[label]);
     }
 
     /// Stages the pipeline profiling deltas for the open iteration (the
@@ -438,11 +446,11 @@ impl Tracer {
         let Some(cur) = &mut self.current else { return };
         cur.pipeline = pipeline;
         if let Some(log) = &mut self.log {
-            log.push('P');
+            log.push(b'P');
             for v in pipeline.to_array() {
-                log.push_str(&format!(" {v}"));
+                push_dec(log, v);
             }
-            log.push('\n');
+            log.push(b'\n');
         }
     }
 
@@ -450,9 +458,7 @@ impl Tracer {
     pub fn iter_end(&mut self, cycle: u64) {
         if let Some(cur) = self.current.take() {
             self.iterations.push(cur.finish());
-            if let Some(log) = &mut self.log {
-                log.push_str(&format!("M ITER_END {cycle}\n"));
-            }
+            self.log_marker("ITER_END", cycle, &[]);
         }
     }
 
@@ -474,11 +480,14 @@ impl Tracer {
             self.matrix_cells += row.len() as u64;
         }
         if let Some(log) = &mut self.log {
-            log.push_str(&format!("C {} {}", cur.last_cycle, unit.name()));
-            for v in row {
-                log.push_str(&format!(" {v:x}"));
+            log.push(b'C');
+            push_dec(log, cur.last_cycle);
+            log.push(b' ');
+            log.extend_from_slice(unit.name().as_bytes());
+            for &v in row {
+                push_hex(log, v);
             }
-            log.push('\n');
+            log.push(b'\n');
         }
     }
 
@@ -534,10 +543,43 @@ impl Tracer {
             self.counted_drop_for = Some(cycle);
             self.dropped_cycles += 1;
             if let Some(log) = &mut self.log {
-                log.push_str(&format!("D {cycle}\n"));
+                log.push(b'D');
+                push_dec(log, cycle);
+                log.push(b'\n');
             }
         }
     }
+}
+
+/// Appends ` {v:x}` (a space, then `v` in lower-case hex) to `out`.
+#[inline]
+fn push_hex(out: &mut Vec<u8>, v: u64) {
+    if v == 0 {
+        out.extend_from_slice(b" 0");
+        return;
+    }
+    let digits = (67 - v.leading_zeros() as usize) / 4;
+    let mut buf = [b' '; 17];
+    for (i, d) in buf[1..=digits].iter_mut().rev().enumerate() {
+        *d = b"0123456789abcdef"[(v >> (4 * i)) as usize & 0xf];
+    }
+    out.extend_from_slice(&buf[..=digits]);
+}
+
+/// Appends ` {v}` (a space, then `v` in decimal) to `out`.
+#[inline]
+fn push_dec(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [b' '; 21];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i - 1..]);
 }
 
 /// Errors from [`parse_text_log`].
@@ -567,6 +609,7 @@ impl std::error::Error for ParseLogError {}
 pub fn parse_text_log(text: &str, cfg: TraceConfig) -> Result<Vec<IterationTrace>, ParseLogError> {
     let _span = microsampler_obs::span::span("parse");
     let mut tracer = Tracer::new(cfg);
+    let mut row = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let lno = idx as u32 + 1;
         let err = |m: String| ParseLogError { line: lno, message: m };
@@ -597,20 +640,15 @@ pub fn parse_text_log(text: &str, cfg: TraceConfig) -> Result<Vec<IterationTrace
                 }
             }
             Some("C") => {
-                let cycle: u64 = parts
-                    .next()
+                // The line is trimmed and its first token is `C`.
+                let mut rest = &line[1..];
+                let cycle: u64 = next_token(&mut rest)
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err("missing cycle".into()))?;
-                let unit_name = parts.next().ok_or_else(|| err("missing unit".into()))?;
+                let unit_name = next_token(&mut rest).ok_or_else(|| err("missing unit".into()))?;
                 let unit = UnitId::from_name(unit_name)
                     .ok_or_else(|| err(format!("unknown unit `{unit_name}`")))?;
-                let mut row = Vec::new();
-                for tok in parts {
-                    row.push(
-                        u64::from_str_radix(tok, 16)
-                            .map_err(|_| err(format!("bad value `{tok}`")))?,
-                    );
-                }
+                read_hex_row(rest, &mut row).map_err(|tok| err(format!("bad value `{tok}`")))?;
                 tracer.begin_cycle(cycle);
                 tracer.record_row(unit, &row);
             }
@@ -643,9 +681,90 @@ pub fn parse_text_log(text: &str, cfg: TraceConfig) -> Result<Vec<IterationTrace
     Ok(tracer.iterations)
 }
 
+/// Splits the first whitespace-separated token off `s`, as
+/// `str::split_whitespace` would yield it.
+fn next_token<'a>(s: &mut &'a str) -> Option<&'a str> {
+    let t = s.trim_start();
+    let (tok, rest) = t.split_at(t.find(char::is_whitespace).unwrap_or(t.len()));
+    *s = rest;
+    (!tok.is_empty()).then_some(tok)
+}
+
+/// [`HEX_CLASS`] of the ASCII bytes `char::is_whitespace` accepts.
+const SPACE: u8 = 0x10;
+/// [`HEX_CLASS`] of every byte that is neither a hex digit nor [`SPACE`].
+const OTHER: u8 = 0x11;
+
+/// Each byte's hex-digit value, or [`SPACE`] or [`OTHER`].
+static HEX_CLASS: [u8; 256] = {
+    let mut class = [OTHER; 256];
+    let mut b = 0;
+    while b < 256 {
+        class[b] = match b as u8 {
+            c @ b'0'..=b'9' => c - b'0',
+            c @ b'a'..=b'f' => c - b'a' + 10,
+            c @ b'A'..=b'F' => c - b'A' + 10,
+            b' ' | b'\t' | b'\n' | 0x0b | 0x0c | b'\r' => SPACE,
+            _ => OTHER,
+        };
+        b += 1;
+    }
+    class
+};
+
+/// Byte length of the non-ASCII whitespace character at byte `i` of `s`
+/// (a char boundary), or 0 when there is none.
+fn unicode_space_len(s: &str, i: usize) -> usize {
+    if s.as_bytes()[i].is_ascii() {
+        return 0;
+    }
+    s[i..].chars().next().filter(|c| c.is_whitespace()).map_or(0, char::len_utf8)
+}
+
+/// Reads the whitespace-separated hex values of `s` into `row` in one
+/// scan, accepting exactly the `str::split_whitespace` tokens that
+/// `u64::from_str_radix(token, 16)` accepts. On failure returns the
+/// first token it rejects.
+fn read_hex_row<'a>(s: &'a str, row: &mut Vec<u64>) -> Result<(), &'a str> {
+    row.clear();
+    let b = s.as_bytes();
+    let class = |i: usize| HEX_CLASS[usize::from(b[i])];
+    let mut i = 0;
+    loop {
+        while i < b.len() && class(i) == SPACE {
+            i += 1;
+        }
+        if i == b.len() {
+            return Ok(());
+        }
+        let space = unicode_space_len(s, i);
+        if space > 0 {
+            i += space;
+            continue;
+        }
+        let start = i;
+        i += usize::from(b[i] == b'+');
+        let digits = i;
+        let (mut v, mut overflow) = (0u64, false);
+        while i < b.len() && class(i) < SPACE {
+            overflow |= v >> 60 != 0;
+            v = v << 4 | u64::from(class(i));
+            i += 1;
+        }
+        let ended = i == b.len() || class(i) == SPACE || unicode_space_len(s, i) > 0;
+        if i == digits || overflow || !ended {
+            let tok = &s[start..];
+            return Err(&tok[..tok.find(char::is_whitespace).unwrap_or(tok.len())]);
+        }
+        row.push(v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use microsampler_kernels::inputs::random_keys;
+    use microsampler_kernels::modexp::{cycle_budget, ModexpKernel, ModexpVariant};
 
     fn sample_tracer(keep: bool) -> Tracer {
         let mut t = Tracer::new(TraceConfig { keep_matrices: keep, ..TraceConfig::default() });
@@ -890,22 +1009,26 @@ mod tests {
         (summary, hashed)
     }
 
-    #[test]
-    fn builder_matches_reference_fold() {
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
+    /// A seeded xorshift64 stream.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
+        }
+    }
+
+    #[test]
+    fn builder_matches_reference_fold() {
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
         for case in 0..48u64 {
             // Mixed widths, exact repeats of the previous row, zeros, a few
             // recurring line addresses and arbitrary words.
             let mut rows: Vec<Vec<u64>> = Vec::new();
             for _ in 0..next() % 80 {
                 let r = next();
-                if r % 4 == 0 && !rows.is_empty() {
+                if r.is_multiple_of(4) && !rows.is_empty() {
                     rows.push(rows[rows.len() - 1].clone());
                     continue;
                 }
@@ -924,6 +1047,263 @@ mod tests {
                 assert_eq!(bytes, expect_bytes, "case {case} keep_matrices {keep_matrices}");
                 assert_eq!(b.finish(), expect, "case {case} keep_matrices {keep_matrices}");
             }
+        }
+    }
+
+    #[test]
+    fn writers_match_format() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        let edge = [0, 1, 0xf, 0x10, 9, 10, 99, 100, u64::MAX];
+        for v in edge.into_iter().chain((0..4096).map(|_| next() >> (next() % 64))) {
+            let (mut hex, mut dec) = (b"x".to_vec(), b"x".to_vec());
+            push_hex(&mut hex, v);
+            push_dec(&mut dec, v);
+            assert_eq!(hex, format!("x {v:x}").into_bytes(), "{v:#x}");
+            assert_eq!(dec, format!("x {v}").into_bytes(), "{v}");
+        }
+    }
+
+    #[test]
+    fn log_text_is_pinned() {
+        assert_eq!(
+            sample_tracer(false).log_text().unwrap(),
+            "# MicroSampler trace log v1\nM SCR_START 10\nM ITER_START 10 1\n\
+             C 11 SQ-ADDR 100 0 0\nC 11 ROB-OCPNCY 3\nC 12 SQ-ADDR 100 0 0\n\
+             C 12 ROB-OCPNCY 4\nC 13 SQ-ADDR 100 200 0\nC 13 ROB-OCPNCY 4\n\
+             P 4 6 0 0 0 0 0 0 0 0 0 0 0 0\nM ITER_END 14\nM SCR_END 14\n"
+        );
+        let mut t = Tracer::new(TraceConfig::default());
+        t.enable_log();
+        t.scr_start(0);
+        t.iter_start(1, 3);
+        t.begin_cycle(2);
+        t.record_row(UnitId::LfbData, &[u64::MAX, 0xf, 0x10, 0, 1]);
+        t.drop_cycle(3);
+        t.begin_cycle(4);
+        t.record_row(UnitId::EuuAlu, &[0x8000_003c]);
+        t.record_row(UnitId::MshrAddr, &[]);
+        t.set_pipeline(PipelineStats::from_array(std::array::from_fn(|i| match i {
+            0 => u64::MAX,
+            1 => 0,
+            _ => 7u64.pow(i as u32),
+        })));
+        t.iter_end(5);
+        t.scr_end(6);
+        assert_eq!(
+            t.log_text().unwrap(),
+            "# MicroSampler trace log v1\nM SCR_START 0\nM ITER_START 1 3\n\
+             C 2 LFB-Data ffffffffffffffff f 10 0 1\nD 3\nC 4 EUU-ALU 8000003c\n\
+             C 4 MSHR-ADDR\nP 18446744073709551615 0 49 343 2401 16807 117649 823543 \
+             5764801 40353607 282475249 1977326743 13841287201 96889010407\n\
+             M ITER_END 5\nM SCR_END 6\n"
+        );
+        assert_eq!(parse_text_log(t.log_text().unwrap(), TraceConfig::default()), Ok(t.iterations));
+    }
+
+    /// The parser that `parse_text_log` replaced: each `C` record is split
+    /// with `split_whitespace` into a fresh row and each value is read with
+    /// `u64::from_str_radix`. The reference for what the log grammar
+    /// accepts and how it reports errors.
+    fn oracle_parse(text: &str, cfg: TraceConfig) -> Result<Vec<IterationTrace>, ParseLogError> {
+        let mut tracer = Tracer::new(cfg);
+        for (idx, line) in text.lines().enumerate() {
+            let lno = idx as u32 + 1;
+            let err = |m: String| ParseLogError { line: lno, message: m };
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let mut parts = line.split_whitespace();
+            match parts.next() {
+                Some("M") => {
+                    let kind = parts.next().ok_or_else(|| err("missing marker kind".into()))?;
+                    let cycle: u64 = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or_else(|| err("missing marker cycle".into()))?;
+                    match kind {
+                        "SCR_START" => tracer.scr_start(cycle),
+                        "SCR_END" => tracer.scr_end(cycle),
+                        "ITER_START" => {
+                            let label: u64 = parts
+                                .next()
+                                .and_then(|s| s.parse().ok())
+                                .ok_or_else(|| err("missing iteration label".into()))?;
+                            tracer.iter_start(cycle, label);
+                        }
+                        "ITER_END" => tracer.iter_end(cycle),
+                        other => return Err(err(format!("unknown marker `{other}`"))),
+                    }
+                }
+                Some("C") => {
+                    let cycle: u64 = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or_else(|| err("missing cycle".into()))?;
+                    let unit_name = parts.next().ok_or_else(|| err("missing unit".into()))?;
+                    let unit = UnitId::from_name(unit_name)
+                        .ok_or_else(|| err(format!("unknown unit `{unit_name}`")))?;
+                    let mut row = Vec::new();
+                    for tok in parts {
+                        row.push(
+                            u64::from_str_radix(tok, 16)
+                                .map_err(|_| err(format!("bad value `{tok}`")))?,
+                        );
+                    }
+                    tracer.begin_cycle(cycle);
+                    tracer.record_row(unit, &row);
+                }
+                Some("D") => {
+                    let cycle: u64 = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or_else(|| err("missing dropped cycle".into()))?;
+                    tracer.drop_cycle(cycle);
+                }
+                Some("P") => {
+                    let mut vals = [0u64; PipelineStats::FIELDS];
+                    for slot in vals.iter_mut() {
+                        *slot = parts
+                            .next()
+                            .and_then(|s| s.parse().ok())
+                            .ok_or_else(|| err("bad pipeline record".into()))?;
+                    }
+                    if parts.next().is_some() {
+                        return Err(err("trailing pipeline values".into()));
+                    }
+                    tracer.set_pipeline(PipelineStats::from_array(vals));
+                }
+                Some(other) => return Err(err(format!("unknown record `{other}`"))),
+                None => {}
+            }
+        }
+        Ok(tracer.iterations)
+    }
+
+    /// The text log of a one-byte-key modexp run on MegaBoom.
+    ///
+    /// The kernels crate links its own build of this crate, so only the
+    /// program crosses over; the machine is this crate's.
+    fn kernel_log(variant: ModexpVariant, faults: Option<FaultConfig>) -> String {
+        let program = ModexpKernel::new(variant, 1).program().expect("kernel assembles");
+        let mut m = crate::Machine::with_trace_config(
+            crate::CoreConfig::mega_boom(),
+            &program,
+            TraceConfig { faults, ..TraceConfig::default() },
+        );
+        m.write_mem(program.symbol_addr("key"), &random_keys(1, 1, 11)[0]);
+        m.enable_log();
+        m.run(cycle_budget(1)).expect("kernel runs");
+        m.log_text().expect("log enabled").to_owned()
+    }
+
+    fn capture_faults() -> FaultConfig {
+        FaultConfig {
+            seed: 5,
+            drop_row_per_64k: 2_000,
+            bitflip_per_64k: 2_000,
+            ..FaultConfig::default()
+        }
+    }
+
+    #[test]
+    fn parser_matches_oracle_on_kernel_logs() {
+        use ModexpVariant::*;
+        for variant in [V1CompilerVuln, V1MicroarchVuln, V2Safe] {
+            for faults in [None, Some(capture_faults())] {
+                let log = kernel_log(variant, faults);
+                let parsed = parse_text_log(&log, TraceConfig::default()).expect("log parses");
+                let what = format!("{} faults {}", variant.name(), faults.is_some());
+                assert!(parsed.len() >= 8, "{what}: {} iterations", parsed.len());
+                if faults.is_some() {
+                    assert!(log.contains("\nD "), "{what}: no D record");
+                }
+                assert!(log.contains("\nP "), "{what}: no P record");
+                assert_eq!(Ok(parsed), oracle_parse(&log, TraceConfig::default()), "{what}");
+            }
+        }
+    }
+
+    /// `base` with one to three random ASCII edits.
+    fn mutate(base: &str, next: &mut impl FnMut() -> u64) -> String {
+        const WIDE: [&str; 4] =
+            ["0000000000000000f", "10000000000000000", "fffffffffffffffff", "+0000000000000000a"];
+        let mut b = base.as_bytes().to_vec();
+        for _ in 0..1 + next() % 3 {
+            let pos = (next() % (b.len() as u64 + 1)) as usize;
+            // Just past the next space: the start of a token.
+            let token = b[pos..].iter().position(|&c| c == b' ').map_or(b.len(), |i| pos + i + 1);
+            match next() % 9 {
+                0 if pos < b.len() => b[pos] = (next() % 128) as u8,
+                1 if pos < b.len() => {
+                    b.remove(pos);
+                }
+                2 => b.insert(if next().is_multiple_of(4) { pos } else { token }, b'+'),
+                3 => b.insert(pos, b" \t\x0b\x0c\r"[(next() % 5) as usize]),
+                4 => drop(b.splice(pos..pos, b"   "[..1 + (next() % 3) as usize].to_vec())),
+                5 => b[pos..].iter_mut().take(1 + (next() % 12) as usize).for_each(|c| {
+                    c.make_ascii_uppercase();
+                }),
+                6 => {
+                    let wide = format!("{} ", WIDE[(next() % 4) as usize]);
+                    drop(b.splice(token..token, wide.into_bytes()));
+                }
+                7 => b.truncate(pos),
+                _ => b.insert(pos, b'\n'),
+            }
+        }
+        String::from_utf8(b).expect("ASCII edits keep the text UTF-8")
+    }
+
+    #[test]
+    fn parser_matches_oracle_on_mutated_logs() {
+        let log = kernel_log(ModexpVariant::V1CompilerVuln, Some(capture_faults()));
+        let lines: Vec<&str> = log.lines().collect();
+        let find = |tag: &str| lines.iter().position(|l| l.starts_with(tag)).expect(tag);
+        let (d, p) = (find("D "), find("P "));
+        // The run's head, a dropped cycle, and an iteration's close with
+        // the next one's start: every record kind in about 6 KB.
+        let mut base: Vec<&str> = lines[..40].to_vec();
+        base.extend(&lines[d - 2..d + 2]);
+        base.extend(&lines[p - 20..p + 24]);
+        let base = base.join("\n") + "\n";
+        let clean = oracle_parse(&base, TraceConfig::default()).expect("the base parses");
+        assert!(!clean.is_empty(), "the base closes an iteration");
+
+        let mut next = xorshift(0x5eed_0f10_6500);
+        let (mut ok, mut rejected) = (0, 0);
+        for case in 0..12_000 {
+            let text = mutate(&base, &mut next);
+            let expect = oracle_parse(&text, TraceConfig::default());
+            assert_eq!(parse_text_log(&text, TraceConfig::default()), expect, "case {case}");
+            if expect.is_ok() {
+                ok += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(ok > 1_000 && rejected > 1_000, "{ok} accepted, {rejected} rejected");
+    }
+
+    #[test]
+    fn parser_matches_oracle_on_unicode_whitespace() {
+        let cases = [
+            "C 4 SQ-ADDR 1\u{a0}2",
+            "C\u{3000}4 SQ-ADDR 1 2",
+            "C 4\u{2028}SQ-ADDR 1\u{85}",
+            "\u{2029}C 4 SQ-ADDR +f\u{1680}+F",
+            "C 4 SQ-ADDR 1\u{e9}",
+            "C 4 SQ-ADDR \u{e9} 2",
+            "C 4 SQ-ADDR \u{661}",
+            "C 4 SQ-ADDR 1\u{200b}2",
+            "C 4 SQ-ADDR 1 \u{feff}",
+            "C 4 SQ-ADDR -1",
+            "C 4 SQ-ADDR 1\u{0}",
+        ];
+        for case in cases {
+            let text = format!("M SCR_START 0\nM ITER_START 0 1\n{case}\nM ITER_END 5\n");
+            let expect = oracle_parse(&text, TraceConfig::default());
+            assert_eq!(parse_text_log(&text, TraceConfig::default()), expect, "{case:?}");
         }
     }
 }

@@ -3,11 +3,15 @@
 //! The core tick reuses its scratch buffers, so a steady loop allocates
 //! nothing once warm; a traced run allocates only per-iteration output
 //! (each unit's feature set, order and last row), not per sampled row.
+//! Logging and parsing keep that budget: the log grows one buffer, and the
+//! parser reads every row into one reused buffer.
 
 use microsampler_isa::asm::assemble;
 use microsampler_kernels::inputs::random_keys;
 use microsampler_kernels::modexp::{cycle_budget, ModexpKernel, ModexpVariant};
-use microsampler_sim::{CoreConfig, Machine, SimError, TraceConfig};
+use microsampler_sim::{
+    parse_text_log, CoreConfig, IterationTrace, Machine, SimError, TraceConfig,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -97,18 +101,47 @@ fn untraced_steady_tick_allocates_nothing() {
     }
 }
 
-#[test]
-fn traced_run_allocates_per_iteration_not_per_row() {
+/// A 16-byte ME-V1-CV machine on MegaBoom, ready to run.
+fn me_v1_cv_machine() -> Machine {
     let kernel = ModexpKernel::new(ModexpVariant::V1CompilerVuln, 16);
     let key = &random_keys(1, 16, 7)[0];
-    let mut m = kernel
-        .machine(CoreConfig::mega_boom(), key, TraceConfig::default())
-        .expect("kernel assembles");
-    let (result, allocs) = counted(|| m.run(cycle_budget(16)));
-    let result = result.expect("kernel runs");
-    let sampled: u64 = result.iterations.iter().map(|it| it.sampled_cycles()).sum();
-    assert!(sampled > 1_000, "the run must sample its iterations ({sampled} cycles)");
+    kernel.machine(CoreConfig::mega_boom(), key, TraceConfig::default()).expect("kernel assembles")
+}
+
+/// Checks `allocs` against the per-sampled-cycle budget of `iterations`.
+fn assert_per_cycle_budget(what: &str, allocs: u64, iterations: &[IterationTrace]) {
+    let sampled: u64 = iterations.iter().map(|it| it.sampled_cycles()).sum();
+    assert!(sampled > 1_000, "{what}: the run must sample its iterations ({sampled} cycles)");
     let per_cycle = allocs as f64 / sampled as f64;
-    eprintln!("{allocs} allocations over {sampled} sampled cycles: {per_cycle:.2} per cycle");
-    assert!(per_cycle <= 5.0, "{per_cycle:.2} allocations per sampled cycle");
+    eprintln!(
+        "{what}: {allocs} allocations over {sampled} sampled cycles: {per_cycle:.2} per cycle"
+    );
+    assert!(per_cycle <= 5.0, "{what}: {per_cycle:.2} allocations per sampled cycle");
+}
+
+#[test]
+fn traced_run_allocates_per_iteration_not_per_row() {
+    let mut m = me_v1_cv_machine();
+    let (result, allocs) = counted(|| m.run(cycle_budget(16)));
+    assert_per_cycle_budget("traced run", allocs, &result.expect("kernel runs").iterations);
+}
+
+#[test]
+fn logged_run_allocates_per_iteration_not_per_row() {
+    let mut m = me_v1_cv_machine();
+    let (result, allocs) = counted(|| {
+        m.enable_log();
+        m.run(cycle_budget(16))
+    });
+    assert_per_cycle_budget("logged run", allocs, &result.expect("kernel runs").iterations);
+}
+
+#[test]
+fn parse_allocates_per_iteration_not_per_row() {
+    let mut m = me_v1_cv_machine();
+    m.enable_log();
+    m.run(cycle_budget(16)).expect("kernel runs");
+    let log = m.log_text().expect("log enabled");
+    let (parsed, allocs) = counted(|| parse_text_log(log, TraceConfig::default()));
+    assert_per_cycle_budget("parse", allocs, &parsed.expect("log parses"));
 }
