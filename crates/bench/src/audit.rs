@@ -19,20 +19,14 @@
 //!
 //! The robustness layer ([`robustness`]) replays the audit across fault
 //! noise levels in early-stop and full-budget modes and emits one
-//! stability curve per primitive (`microsampler-stability-v1`); any
-//! level where the two modes disagree marks the primitive `UNSTABLE`.
+//! stability curve per primitive; any level where the two modes disagree
+//! marks the primitive `UNSTABLE`.
 
 use crate::sweep::AdaptiveAllocator;
 use microsampler_core::{SeqConfig, SeqVerdict, SequentialAnalyzer, StopTrace};
 use microsampler_kernels::openssl::Primitive;
 use microsampler_obs::{diag, Value};
 use microsampler_sim::{CoreConfig, FaultConfig, TraceConfig};
-
-/// Schema tag on the robustness stability-curve document.
-pub const STABILITY_SCHEMA: &str = "microsampler-stability-v1";
-
-/// Schema tag on the trials-to-verdict benchmark document.
-pub const STATS_BENCH_SCHEMA: &str = "microsampler-stats-bench-v1";
 
 /// Reflow ceiling: a borderline primitive may spend at most this many
 /// times its own budget before the audit resolves it with the batch
@@ -304,10 +298,10 @@ pub fn robustness(base: &AuditOptions, noise_levels: &[u32]) -> Vec<StabilityCur
     curves
 }
 
-/// Renders the stability curves (`microsampler-stability-v1`).
+/// Renders the stability curves: the `UNSTABLE` count and one curve per
+/// primitive (the `result` of `repro audit --robustness`'s run report).
 pub fn stability_to_json(curves: &[StabilityCurve]) -> Value {
     Value::object()
-        .field("schema", STABILITY_SCHEMA)
         .field("unstable", curves.iter().filter(|c| c.unstable).count())
         .field(
             "curves",
@@ -334,41 +328,6 @@ pub fn stability_to_json(curves: &[StabilityCurve]) -> Value {
                                         .collect(),
                                 ),
                             )
-                            .build()
-                    })
-                    .collect(),
-            ),
-        )
-        .build()
-}
-
-/// Renders the trials-to-verdict benchmark (`microsampler-stats-bench-v1`)
-/// from an early-stopped campaign: the per-primitive stopping points, the
-/// median, and the speedup over the fixed budget.
-pub fn stats_bench_json(rows: &[AuditRow]) -> Value {
-    let mut spends: Vec<u64> = rows.iter().map(|r| r.trials_spent).collect();
-    spends.sort_unstable();
-    let median = if spends.is_empty() { 0 } else { spends[spends.len() / 2] };
-    let budget = rows.first().map_or(0, |r| r.budget);
-    let speedup = if median > 0 { budget as f64 / median as f64 } else { 0.0 };
-    Value::object()
-        .field("schema", STATS_BENCH_SCHEMA)
-        .field("budget", budget)
-        .field("median_trials_to_verdict", median)
-        .field("median_speedup", speedup)
-        .field("total_trials_spent", rows.iter().map(|r| r.trials_spent).sum::<u64>())
-        .field("total_budget", budget * rows.len() as u64)
-        .field(
-            "primitives",
-            Value::Array(
-                rows.iter()
-                    .map(|r| {
-                        Value::object()
-                            .field("name", r.name.as_str())
-                            .field("trials_to_verdict", r.trials_spent)
-                            .field("verdict", r.verdict.name())
-                            .field("fallback", r.stop.fallback)
-                            .field("looks", r.stop.looks.len())
                             .build()
                     })
                     .collect(),
@@ -423,12 +382,8 @@ mod tests {
     }
 
     #[test]
-    fn bench_and_audit_json_schemas_are_wellformed() {
+    fn audit_json_schema_is_wellformed() {
         let rows = run_audit(&small_opts());
-        let bench = stats_bench_json(&rows);
-        assert_eq!(bench.get("schema").unwrap().as_str(), Some(STATS_BENCH_SCHEMA));
-        assert!(bench.get("median_trials_to_verdict").unwrap().as_u64().is_some());
-        assert_eq!(bench.get("primitives").unwrap().as_array().unwrap().len(), rows.len());
         let audit = audit_to_json(&rows);
         let text = audit.render_compact();
         assert_eq!(microsampler_obs::json::parse(&text).unwrap(), audit);
@@ -460,7 +415,6 @@ mod tests {
             },
         ];
         let v = stability_to_json(&curves);
-        assert_eq!(v.get("schema").unwrap().as_str(), Some(STABILITY_SCHEMA));
         assert_eq!(v.get("unstable").unwrap().as_u64(), Some(1));
         let arr = v.get("curves").unwrap().as_array().unwrap();
         assert_eq!(arr[0].get("status").unwrap().as_str(), Some("stable"));

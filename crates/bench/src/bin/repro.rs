@@ -32,29 +32,25 @@
 //! 3 = architectural violations found, 4 = only transient (CT-SPEC)
 //! violations found, 1 = `--baseline` verdict mismatch, 2 = usage error.
 //!
-//! `repro profile` sweeps modexp kernels with the simulator's always-on
-//! pipeline counters and prints a riscv-perf-model-style utilization dump
-//! (host throughput, simulated IPC, per-EU utilization, stall-cause
-//! breakdown), writing the stable-schema `BENCH_sim.json` throughput
-//! baseline; `--trace-out FILE` additionally exports the span forest as
-//! Chrome trace-event JSON, openable at <https://ui.perfetto.dev>. Exits
-//! nonzero if any kernel reports zero IPC or throughput.
-//!
-//! With `--json DIR`, each experiment additionally writes
-//! `DIR/<experiment>.json`: a stable-schema run report carrying the
-//! experiment's structured result, the pipeline span tree, and the
-//! aggregated simulator metrics for the sweep. Set `MICROSAMPLER_PROGRESS=1`
-//! for trial-N-of-M heartbeats during long sweeps.
+//! With `--json DIR`, each experiment, and `repro audit`, additionally
+//! writes `DIR/<name>.json`: a `microsampler-run-report-v1` run report
+//! carrying the structured result, the trial accounting, the pipeline
+//! span tree, and the aggregated simulator metrics (the simulated
+//! pipeline counters, IPC included, sit in each modexp result's
+//! `pipeline`). Next to it, `DIR/<name>.trace.json` holds the same span
+//! forest as Chrome trace-event JSON, openable at
+//! <https://ui.perfetto.dev>. Set `MICROSAMPLER_PROGRESS=1` for
+//! trial-N-of-M heartbeats during long sweeps.
 
 use microsampler_bench::experiments as exp;
-use microsampler_bench::{lint, print_cycle_histogram, print_v_chart, profile, sweep, Scale};
+use microsampler_bench::{lint, print_cycle_histogram, print_v_chart, sweep, Scale};
 use microsampler_core::association_to_json;
 use microsampler_kernels::modexp::ModexpVariant;
 use microsampler_obs::{diag, diag_error, json, metrics, span, trace_event, Value};
-use microsampler_sim::{CoreConfig, FaultConfig};
+use microsampler_sim::FaultConfig;
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -82,7 +78,6 @@ const EXPERIMENTS: [&str; 16] = [
 enum Sub {
     Experiments,
     Lint,
-    Profile,
     Audit,
     Serve,
     Submit,
@@ -98,10 +93,9 @@ struct Surface {
 }
 
 /// Every surface; the first, the experiment runner, has no subcommand word.
-const SURFACES: [Surface; 6] = [
+const SURFACES: [Surface; 5] = [
     Surface { sub: Experiments, name: "", operands: "<experiment>..." },
     Surface { sub: Lint, name: "lint", operands: "[<kernel>...]" },
-    Surface { sub: Profile, name: "profile", operands: "[<kernel>...]" },
     Surface { sub: Audit, name: "audit", operands: "" },
     Surface { sub: Serve, name: "serve", operands: "" },
     Surface { sub: Submit, name: "submit", operands: "" },
@@ -148,36 +142,32 @@ impl Flag {
 
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
-    flag("--threads N", Count(1), &[Experiments, Lint, Profile, Audit, Serve], "worker pool size"),
-    flag("--seed N", U64, &[Experiments, Lint, Profile, Audit, Submit], "base RNG seed"),
+    flag("--threads N", Count(1), &[Experiments, Lint, Audit, Serve], "worker pool size"),
+    flag("--seed N", U64, &[Experiments, Lint, Audit, Submit], "base RNG seed"),
     flag("--trials N", Count(1), &[Experiments, Lint, Audit], "trials per Table V primitive"),
-    flag("--keys N", Count(1), &[Experiments, Profile, Submit], "random keys per modexp sweep"),
-    flag("--key-bytes N", Count(1), &[Experiments, Profile, Submit], "bytes per key"),
+    flag("--keys N", Count(1), &[Experiments, Submit], "random keys per modexp sweep"),
+    flag("--key-bytes N", Count(1), &[Experiments, Submit], "bytes per key"),
     flag("--faults SPEC", Faults, &[Experiments, Audit], "inject faults: comma-separated \
         seed=N, squash/evict/mshr/drop/flip=RATE per 64k cycles (max 65536), wedge=K (deadlock)"),
-    flag("--help", Switch, &[Experiments, Lint, Profile, Audit, Serve, Submit], "this help, or -h"),
+    flag("--help", Switch, &[Experiments, Lint, Audit, Serve, Submit], "this help, or -h"),
     flag("--reps N", Count(1), &[Experiments], "repetitions of each CT-MEM-CMP input pair"),
     flag("--full", Switch, &[Experiments], "paper scale; explicit scale flags override it"),
-    flag("--json DIR", Path, &[Experiments], "write a run report DIR/<experiment>.json"),
+    flag("--json DIR", Path, &[Experiments, Audit], "write run reports DIR/<name>.json"),
     flag("--journal FILE", Path, &[Experiments], "append a JSONL record per finished trial"),
     flag("--resume FILE", Path, &[Experiments], "resume a --journal, re-running missing trials"),
     flag("--retries N", Retries, &[Experiments], "retry failing trials N times (default 1)"),
     flag("--trial-timeout SECS", Secs, &[Experiments], "quarantine trial attempts running longer"),
     flag("--sequential", Switch, &[Experiments, Submit], "stop early on an anytime-valid verdict"),
-    flag("--all", Switch, &[Lint, Profile], "every kernel; lint also cross-validates dynamically"),
+    flag("--all", Switch, &[Lint], "every kernel, cross-validated dynamically"),
     flag("--static", Switch, &[Lint], "skip the dynamic cross-validation of --all"),
     flag("--sarif FILE", Path, &[Lint], "also write the findings as SARIF"),
     flag("--baseline FILE", Path, &[Lint], "check verdicts against a baseline (exit 1 if not)"),
     flag("--update-baseline", Switch, &[Lint], "rewrite --baseline (default lint-baseline.json)"),
     flag("--spec-depth N", Count(0), &[Lint], "transient window (default: MegaBoom ROB size)"),
     flag("--no-spec", Switch, &[Lint], "disable speculative taint"),
-    flag("--out FILE", Path, &[Profile, Audit], "the report (profile default: BENCH_sim.json)"),
-    flag("--trace-out FILE", Path, &[Profile], "export spans as Chrome trace-event JSON"),
     flag("--full-budget", Switch, &[Audit], "spend the whole budget, no early stopping"),
     flag("--robustness", Switch, &[Audit], "check verdict stability across --noise levels"),
     flag("--noise L1,L2,...", Noise, &[Audit], "--robustness fault levels (default 0,64,128)"),
-    flag("--stats-out FILE", Path, &[Audit], "write trials-to-verdict (default BENCH_stats.json)"),
-    flag("--stability-out FILE", Path, &[Audit], "write stability curves (default stability.json)"),
     flag("--socket PATH", Path, &[Serve, Submit], "daemon socket (serve: --state/serve.sock)"),
     flag("--state DIR", Path, &[Serve], "state directory (default serve-state)"),
     flag("--queue N", Count(1), &[Serve], "outstanding jobs before busy (default 16)"),
@@ -327,7 +317,6 @@ fn main() -> ExitCode {
     match surface.sub {
         Experiments => experiments_main(&p),
         Lint => lint_main(&p),
-        Profile => profile_main(&p),
         Audit => audit_main(&p),
         #[cfg(unix)]
         Serve => serve_main(&p),
@@ -394,7 +383,6 @@ fn experiments_main(p: &Parsed) -> ExitCode {
     let harness =
         ["--faults", "--journal", "--resume", "--retries", "--sequential", "--trial-timeout"];
     let sweep_requested = harness.iter().any(|f| p.on(f));
-    let json_dir: Option<PathBuf> = p.get("--json");
     let mut wanted = p.operands.clone();
     if wanted.is_empty() {
         help(&SURFACES[0]);
@@ -410,11 +398,7 @@ fn experiments_main(p: &Parsed) -> ExitCode {
             fail(&format!("unknown experiment `{w}`"));
         }
     }
-    if let Some(dir) = &json_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            fail(&format!("cannot create --json directory {}: {e}", dir.display()));
-        }
-    }
+    let json_dir = json_dir(p);
     if sweep_requested {
         // A fresh (non-resume) journal starts empty; sweeps append to it.
         if let (Some(path), false) = (&sweep_opts.journal, sweep_opts.resume) {
@@ -426,37 +410,64 @@ fn experiments_main(p: &Parsed) -> ExitCode {
         sweep::set_options(Some(sweep_opts));
     }
     for w in &wanted {
-        sweep::reset_events();
-        if let Some(dir) = &json_dir {
-            span::set_enabled(true);
-            metrics::set_enabled(true);
-            span::take();
-            metrics::reset();
-            let result = run(w, &scale);
-            let spans = span::take();
-            let snapshot = metrics::snapshot();
-            span::set_enabled(false);
-            metrics::set_enabled(false);
-            let report = Value::object()
-                .field("schema", "microsampler-run-report-v1")
-                .field("experiment", w.as_str())
-                .field("scale", scale_to_json(&scale))
-                .field("threads", microsampler_par::threads())
-                .field("result", result)
-                .field("trials", sweep::events_to_json())
-                .field("spans", span::nodes_to_json(&spans))
-                .field("metrics", metrics::snapshot_to_json(&snapshot))
-                .build();
-            let path = dir.join(format!("{w}.json"));
-            if let Err(e) = std::fs::write(&path, report.render_pretty()) {
-                fail(&format!("cannot write {}: {e}", path.display()));
-            }
-            println!("wrote {}", path.display());
-        } else {
-            run(w, &scale);
-        }
+        reported(json_dir.as_deref(), w, &scale, || ((), run(w, &scale)));
     }
     ExitCode::SUCCESS
+}
+
+/// The `--json` directory, created if it does not exist yet.
+fn json_dir(p: &Parsed) -> Option<PathBuf> {
+    let dir: PathBuf = p.get("--json")?;
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        fail(&format!("cannot create --json directory {}: {e}", dir.display()));
+    }
+    Some(dir)
+}
+
+/// Runs `body`, which returns its output and its structured result. With
+/// a `--json` directory, the run is recorded (spans, metrics, trial
+/// events) and written as the one run-report envelope to `DIR/<name>.json`
+/// and its span forest as Chrome trace-event JSON to
+/// `DIR/<name>.trace.json`.
+fn reported<T>(
+    dir: Option<&Path>,
+    name: &str,
+    scale: &Scale,
+    body: impl FnOnce() -> (T, Value),
+) -> T {
+    sweep::reset_events();
+    let Some(dir) = dir else { return body().0 };
+    span::set_enabled(true);
+    metrics::set_enabled(true);
+    span::take();
+    metrics::reset();
+    let (out, result) = body();
+    let spans = span::take();
+    let snapshot = metrics::snapshot();
+    span::set_enabled(false);
+    metrics::set_enabled(false);
+    let report = Value::object()
+        .field("schema", "microsampler-run-report-v1")
+        .field("experiment", name)
+        .field("scale", scale_to_json(scale))
+        .field("threads", microsampler_par::threads())
+        .field("result", result)
+        .field("trials", sweep::events_to_json())
+        .field("spans", span::nodes_to_json(&spans))
+        .field("metrics", metrics::snapshot_to_json(&snapshot))
+        .build();
+    let trace = trace_event::spans_to_trace_events(&spans);
+    for (file, doc) in [
+        (format!("{name}.json"), report.render_pretty()),
+        (format!("{name}.trace.json"), trace.render_compact()),
+    ] {
+        let path = dir.join(file);
+        if let Err(e) = std::fs::write(&path, doc) {
+            fail(&format!("cannot write {}: {e}", path.display()));
+        }
+        println!("wrote {}", path.display());
+    }
+    out
 }
 
 /// Parses a `--faults` spec: comma-separated `key=value` pairs with keys
@@ -589,64 +600,6 @@ fn lint_main(p: &Parsed) -> ExitCode {
     }
 }
 
-/// `repro profile`. Exit codes: 0 = profiled and `BENCH_sim.json` written, 1 = a kernel
-/// failed or reported zero IPC/throughput, 2 = usage error.
-fn profile_main(p: &Parsed) -> ExitCode {
-    let mut opts = profile::ProfileOptions::default();
-    opts.keys = p.get("--keys").unwrap_or(opts.keys);
-    opts.key_bytes = p.get("--key-bytes").unwrap_or(opts.key_bytes);
-    opts.seed = p.get("--seed").unwrap_or(opts.seed);
-    let (all, names) = (p.on("--all"), &p.operands);
-    let out = p.get("--out").unwrap_or_else(|| PathBuf::from("BENCH_sim.json"));
-    let trace_out: Option<PathBuf> = p.get("--trace-out");
-    if all != names.is_empty() {
-        fail("profile takes either --all or at least one kernel name, not both");
-    }
-    if !all {
-        opts.kernels = names.iter().map(|n| modexp_kernel(n)).collect();
-    }
-    let config = CoreConfig::mega_boom();
-    if trace_out.is_some() {
-        span::set_enabled(true);
-        span::take();
-    }
-    let profiles = match profile::profile_kernels(&config, &opts) {
-        Ok(profiles) => profiles,
-        Err(e) => {
-            diag_error!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for p in &profiles {
-        profile::print_profile(p, &config);
-    }
-    let report = profile::report_to_json(&profiles, &config, microsampler_par::threads());
-    if let Err(e) = std::fs::write(&out, report.render_pretty()) {
-        diag_error!("cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("\nwrote {}", out.display());
-    if let Some(path) = &trace_out {
-        let spans = span::take();
-        span::set_enabled(false);
-        let doc = trace_event::spans_to_trace_events(&spans);
-        if let Err(e) = std::fs::write(path, doc.render_compact()) {
-            diag_error!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {} (open at https://ui.perfetto.dev)", path.display());
-    }
-    // The throughput baseline is useless if the counters read zero; make
-    // that a hard failure so CI catches a broken profiler immediately.
-    for p in &profiles {
-        if p.pipeline.ipc() <= 0.0 || p.sim_cycles_per_host_sec() <= 0.0 {
-            diag_error!("{}: zero IPC or host throughput in the profile", p.name);
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 /// The modexp kernel called `name`; a usage error naming every kernel if
 /// there is none.
 fn modexp_kernel(name: &str) -> ModexpVariant {
@@ -658,32 +611,39 @@ fn modexp_kernel(name: &str) -> ModexpVariant {
 
 /// `repro audit`: runs the 27-primitive Table V audit under anytime-valid
 /// early stopping (default) or the fixed budget (`--full-budget`),
-/// printing one row per primitive with its stopping point and writing the
-/// `microsampler-stats-bench-v1` trials-to-verdict benchmark. With
-/// `--robustness`, replays the audit in both modes across the fault
-/// noise ladder and writes per-primitive verdict-stability curves
-/// (`microsampler-stability-v1`).
+/// printing one row per primitive with its stopping point and the median
+/// trials-to-verdict. With `--robustness`, replays the audit in both modes
+/// across the fault noise ladder and prints per-primitive verdict-stability
+/// curves. With `--json DIR`, writes `DIR/audit.json` (result:
+/// `microsampler-audit-v1`) and, under `--robustness`,
+/// `DIR/robustness.json` (result: the stability curves), both in the
+/// experiments' run-report envelope.
 ///
 /// Exit codes: 0 = all verdicts clean and stable, 3 = a leak was
 /// flagged (or, under `--robustness`, a primitive is UNSTABLE),
 /// 1 = a primitive failed to simulate, 2 = usage error.
 fn audit_main(p: &Parsed) -> ExitCode {
     use microsampler_bench::audit;
-    let mut opts = audit::AuditOptions::default();
-    opts.trials = p.get("--trials").unwrap_or(opts.trials);
-    opts.seed = p.get("--seed").unwrap_or(opts.seed);
-    opts.early_stop = !p.on("--full-budget");
+    let scale = scale(p);
     let (faults, wedge_trial): FaultSpec = p.get("--faults").unwrap_or_default();
     if wedge_trial.is_some() {
         fail("audit does not take wedge= in --faults");
     }
-    opts.faults = faults;
+    let opts = audit::AuditOptions {
+        trials: scale.primitive_trials,
+        seed: scale.seed,
+        early_stop: !p.on("--full-budget"),
+        faults,
+        ..audit::AuditOptions::default()
+    };
     let noise = p.get("--noise").unwrap_or_else(|| audit::DEFAULT_NOISE_LEVELS.to_vec());
-    let out: Option<PathBuf> = p.get("--out");
-    let stats_out = p.get("--stats-out").unwrap_or_else(|| PathBuf::from("BENCH_stats.json"));
-    let stability_out = p.get("--stability-out").unwrap_or_else(|| PathBuf::from("stability.json"));
+    let json_dir = json_dir(p);
 
-    let rows = audit::run_audit(&opts);
+    let rows = reported(json_dir.as_deref(), "audit", &scale, || {
+        let rows = audit::run_audit(&opts);
+        let result = audit::audit_to_json(&rows);
+        (rows, result)
+    });
     println!(
         "\n== adaptive sequential audit ({} budget, {}) ==",
         opts.trials,
@@ -709,28 +669,20 @@ fn audit_main(p: &Parsed) -> ExitCode {
             println!("{:<34} error: {e}", "");
         }
     }
-    let bench = audit::stats_bench_json(&rows);
-    println!(
-        "median trials-to-verdict: {} of {} ({}x)",
-        bench.get("median_trials_to_verdict").and_then(Value::as_u64).unwrap_or(0),
-        opts.trials,
-        bench.get("median_speedup").map_or(0.0, |v| v.as_f64().unwrap_or(0.0)),
-    );
-    if let Err(e) = std::fs::write(&stats_out, bench.render_pretty()) {
-        fail(&format!("cannot write {}: {e}", stats_out.display()));
-    }
-    println!("wrote {}", stats_out.display());
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, audit::audit_to_json(&rows).render_pretty()) {
-            fail(&format!("cannot write {}: {e}", path.display()));
-        }
-        println!("wrote {}", path.display());
-    }
+    let mut spends: Vec<u64> = rows.iter().map(|r| r.trials_spent).collect();
+    spends.sort_unstable();
+    let median = spends.get(spends.len() / 2).copied().unwrap_or(0);
+    let speedup = if median > 0 { opts.trials as f64 / median as f64 } else { 0.0 };
+    println!("median trials-to-verdict: {median} of {} ({speedup}x)", opts.trials);
 
     let mut unstable = 0usize;
     if p.on("--robustness") {
         println!("\n== verdict stability across fault noise (per-64k levels {noise:?}) ==");
-        let curves = audit::robustness(&opts, &noise);
+        let curves = reported(json_dir.as_deref(), "robustness", &scale, || {
+            let curves = audit::robustness(&opts, &noise);
+            let result = audit::stability_to_json(&curves);
+            (curves, result)
+        });
         for c in &curves {
             let points: Vec<String> = c
                 .points
@@ -756,12 +708,6 @@ fn audit_main(p: &Parsed) -> ExitCode {
             );
         }
         unstable = curves.iter().filter(|c| c.unstable).count();
-        if let Err(e) =
-            std::fs::write(&stability_out, audit::stability_to_json(&curves).render_pretty())
-        {
-            fail(&format!("cannot write {}: {e}", stability_out.display()));
-        }
-        println!("wrote {}", stability_out.display());
     }
 
     if rows.iter().any(|r| r.error.is_some() || !r.functional_ok) {

@@ -10,7 +10,6 @@
 pub mod audit;
 pub mod experiments;
 pub mod lint;
-pub mod profile;
 #[cfg(unix)]
 pub mod serve;
 pub mod sweep;

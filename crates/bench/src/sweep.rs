@@ -330,8 +330,8 @@ fn iteration_from_json(v: &Value) -> Result<IterationTrace, String> {
         start_cycle: need_u64(v, "start_cycle")?,
         end_cycle: need_u64(v, "end_cycle")?,
         dropped_cycles: need_u64(v, "dropped_cycles")?,
-        // Journals written before the profiler existed lack this field;
-        // restore them with zeroed counters.
+        // Journals written before the pipeline counters existed lack this
+        // field; restore them with zeroed counters.
         pipeline: v.get("pipeline").map(PipelineStats::from_json).unwrap_or_default(),
         units,
     })
@@ -1022,7 +1022,8 @@ mod tests {
 
     #[test]
     fn journal_without_pipeline_field_restores_zeroed_counters() {
-        // A pre-profiler journal line: same schema, no `pipeline` object.
+        // A journal line from before the pipeline counters: same schema,
+        // no `pipeline` object.
         let mut it = sample_iteration(0);
         it.pipeline = PipelineStats::default();
         let line = completed_line("v/mega/kb4/s42/key0000", &[it.clone()]);

@@ -37,11 +37,10 @@ fn bad_flags_exit_with_usage_error() {
         &["lint", "--seed", "abc"],
         &["lint", "--threads", "0"],
         &["lint", "--trials", "0"],
-        &["profile", "--bogus"],
-        &["profile", "--out"],
-        &["profile", "--key-bytes", "abc"],
-        &["profile", "--threads", "0"],
-        &["profile", "--keys", "0"],
+        &["profile"],
+        &["audit", "--out", "x"],
+        &["audit", "--stats-out", "x"],
+        &["audit", "--stability-out", "x"],
         &["audit", "--bogus"],
         &["audit", "--noise"],
         &["audit", "--seed", "abc"],
@@ -86,11 +85,9 @@ fn help_lists_every_flag_of_each_surface() {
             "--all --static --sarif --baseline --update-baseline --spec-depth --no-spec --trials \
              --seed --threads",
         ),
-        (&["profile", "-h"], "--all --keys --key-bytes --seed --threads --out --trace-out"),
         (
-            &["audit", "--help"],
-            "--trials --seed --threads --faults --full-budget --robustness --noise --out \
-             --stats-out --stability-out",
+            &["audit", "-h"],
+            "--trials --seed --threads --faults --full-budget --robustness --noise --json",
         ),
         (
             &["serve", "--help"],
@@ -123,7 +120,7 @@ fn help_lists_every_flag_of_each_surface() {
         }
         pairs += expected.len();
     }
-    assert_eq!(pairs, 62);
+    assert_eq!(pairs, 53);
 }
 
 /// The usage text lists exactly the experiments `repro` accepts: `fig8`
@@ -169,13 +166,13 @@ fn malformed_resume_journal_exits_with_usage_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A misspelled `repro profile` kernel must exit 2 and name every valid
-/// kernel on stderr — even with the diag sink silenced, since the
-/// usage-error path prints unconditionally.
+/// A misspelled `repro submit --kernel` must exit 2 before connecting and
+/// name every valid kernel on stderr — even with the diag sink silenced,
+/// since the usage-error path prints unconditionally.
 #[test]
-fn profile_unknown_kernel_exits_usage_error_listing_kernels() {
+fn submit_unknown_kernel_exits_usage_error_listing_kernels() {
     let out = repro()
-        .args(["profile", "no-such-kernel"])
+        .args(["submit", "--kernel", "no-such-kernel"])
         .env("MICROSAMPLER_LOG", "off")
         .output()
         .expect("repro runs");
@@ -262,6 +259,49 @@ fn plain_run_report_counts_completed_trials() {
     assert_eq!(trials.get("completed").unwrap().as_u64(), Some(2), "one per key");
     assert_eq!(trials.get("quarantined").unwrap().as_array().unwrap().len(), 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `repro audit --json` writes its campaign and its stability curves in
+/// the experiments' run-report envelope, plus a Chrome trace each; without
+/// `--json` it leaves no file behind.
+#[test]
+fn audit_json_reports_share_the_experiment_envelope() {
+    let dir = tmp_dir("audit-json");
+    let out = repro()
+        .args(["audit", "--trials", "48", "--robustness", "--noise", "0", "--json"])
+        .arg(&dir)
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let out = repro().args(["table4", "--json"]).arg(&dir).output().expect("repro runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let keys = |v: &Value| match v {
+        Value::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("a run report is an object: {other:?}"),
+    };
+    let experiment = keys(&parse_report(&dir.join("table4.json")));
+    let audit = parse_report(&dir.join("audit.json"));
+    assert_eq!(keys(&audit), experiment);
+    let result = audit.get("result").unwrap();
+    assert_eq!(result.get("schema").and_then(Value::as_str), Some("microsampler-audit-v1"));
+    assert_eq!(result.get("rows").unwrap().as_array().unwrap().len(), 27);
+    let robustness = parse_report(&dir.join("robustness.json"));
+    assert_eq!(keys(&robustness), experiment);
+    assert_eq!(robustness.get("result").unwrap().get("unstable").unwrap().as_u64(), Some(0));
+    for name in ["audit", "robustness"] {
+        let trace = std::fs::read_to_string(dir.join(format!("{name}.trace.json"))).unwrap();
+        assert!(trace.contains("\"traceEvents\""), "{name}.trace.json: {trace}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let cwd = tmp_dir("audit-no-json");
+    let out =
+        repro().args(["audit", "--trials", "48"]).current_dir(&cwd).output().expect("repro runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+    assert!(left.is_empty(), "audit without --json writes nothing: {left:?}");
+    std::fs::remove_dir_all(&cwd).ok();
 }
 
 /// Resuming a journal recorded under different FaultConfig rates (or a

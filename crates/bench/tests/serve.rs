@@ -109,12 +109,15 @@ fn extract_verdict(stdout: &[u8]) -> String {
 fn overload_is_rejected_with_structured_busy() {
     let dir = tmp_dir("busy");
     let (mut daemon, socket) = start_daemon(&dir, &["--queue", "2", "--per-client", "1"]);
-    // A deliberately chunky job keeps the queue occupied while the
-    // follow-up submissions probe the backpressure paths.
+    // Each job is a paper-scale sweep (64 keys of 128 bytes, tens of
+    // millions of simulated cycles per key), so job "a" cannot finish
+    // while the follow-up submissions probe the backpressure paths, and
+    // the daemon's single executor holds job "b" queued behind it. The
+    // daemon is killed before either could complete.
     let job = |client: &str| {
         format!(
             "{{\"op\":\"submit\",\"client\":\"{client}\",\"kernel\":\"ME-V2-Safe\",\
-             \"keys\":12,\"key_bytes\":2,\"seed\":1}}"
+             \"keys\":64,\"key_bytes\":128,\"seed\":1}}"
         )
     };
     let (_s1, _r1, first) = raw_request(&socket, &job("a"));

@@ -6,8 +6,8 @@
 //!   (simulate → parse → correlate → extract). Near-zero cost when
 //!   disabled: one relaxed atomic load, no clock read, no allocation.
 //! * [`trace_event`] — Chrome trace-event / Perfetto JSON export of the
-//!   span forest (`repro profile --trace-out`, openable in
-//!   ui.perfetto.dev).
+//!   span forest (`DIR/<name>.trace.json` next to every `repro --json
+//!   DIR` run report, openable in ui.perfetto.dev).
 //! * [`metrics`] — a process-wide registry aggregating named counters
 //!   (simulator `CoreStats` counters, tracer volumes) per trial and
 //!   across a sweep (count/sum/min/max plus a power-of-two histogram

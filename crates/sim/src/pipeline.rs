@@ -11,8 +11,9 @@
 //!
 //! Per-iteration deltas ride on [`IterationTrace`](crate::IterationTrace)
 //! (captured at the `ITER_START`/`ITER_END` markers) and the run-level
-//! totals on [`RunResult`](crate::RunResult); `repro profile` aggregates
-//! them into the `BENCH_sim.json` throughput baseline.
+//! totals on [`RunResult`](crate::RunResult); each modexp experiment's
+//! `repro --json` run report carries the sweep's sum under
+//! `result.pipeline`.
 //!
 //! [`CoreStats`]: crate::CoreStats
 
@@ -27,9 +28,7 @@ pub const WATCHDOG_NEAR_MISS_CYCLES: u64 = 5_000;
 /// Pipeline occupancy and stall-cause counters, accumulated every cycle.
 ///
 /// All fields are monotone counters; subtract snapshots
-/// ([`PipelineStats::delta_since`]) for interval figures. Utilization
-/// accessors divide busy-slot counts by the cycle count (and the unit
-/// count, for the multi-unit ALU/AGU pools).
+/// ([`PipelineStats::delta_since`]) for interval figures.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Cycles accounted (equals `CoreStats::cycles` over a full run).
@@ -142,35 +141,6 @@ impl PipelineStats {
         }
     }
 
-    /// ALU-pool utilization: busy slots over `n_alus × cycles`.
-    pub fn alu_utilization(&self, n_alus: usize) -> f64 {
-        self.pool_utilization(self.alu_busy, n_alus)
-    }
-
-    /// AGU-pool utilization: busy slots over `n_agus × cycles`.
-    pub fn agu_utilization(&self, n_agus: usize) -> f64 {
-        self.pool_utilization(self.agu_busy, n_agus)
-    }
-
-    /// Fraction of cycles the (single, pipelined) multiplier was occupied.
-    pub fn mul_utilization(&self) -> f64 {
-        self.pool_utilization(self.mul_busy, 1)
-    }
-
-    /// Fraction of cycles the (single, blocking) divider was occupied.
-    pub fn div_utilization(&self) -> f64 {
-        self.pool_utilization(self.div_busy, 1)
-    }
-
-    fn pool_utilization(&self, busy: u64, units: usize) -> f64 {
-        let slots = self.cycles.saturating_mul(units.max(1) as u64);
-        if slots == 0 {
-            0.0
-        } else {
-            busy as f64 / slots as f64
-        }
-    }
-
     /// Adds another interval's counters into this one.
     pub fn add(&mut self, other: &PipelineStats) {
         let mut a = self.to_array();
@@ -270,15 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn ipc_and_utilization() {
+    fn ipc() {
         let s = sample();
         assert!((s.ipc() - 1.5).abs() < 1e-12);
-        assert!((s.alu_utilization(4) - 0.3).abs() < 1e-12);
-        assert!((s.agu_utilization(2) - 0.2).abs() < 1e-12);
-        assert!((s.mul_utilization() - 0.3).abs() < 1e-12);
-        assert!((s.div_utilization() - 0.16).abs() < 1e-12);
         assert_eq!(PipelineStats::default().ipc(), 0.0);
-        assert_eq!(PipelineStats::default().alu_utilization(4), 0.0);
     }
 
     #[test]
