@@ -12,10 +12,10 @@
 //! its looks, bounds, and stopping point.
 //!
 //! Determinism: chunk `c` of every primitive runs at seed
-//! `seed + c * 7919` (the escalation-round convention), the allocator's
-//! grants depend only on the retire sequence, and chunks are pooled in
-//! table order — so re-runs and different thread counts reproduce the
-//! same stopping points bit-for-bit.
+//! [`round_seed`](crate::round_seed)`(seed, c)` (the escalation-round
+//! seed), the allocator's grants depend only on the retire sequence, and
+//! chunks are pooled in table order — so re-runs and different thread
+//! counts reproduce the same stopping points bit-for-bit.
 //!
 //! The robustness layer ([`robustness`]) replays the audit across fault
 //! noise levels in early-stop and full-budget modes and emits one
@@ -132,7 +132,7 @@ pub fn run_audit(opts: &AuditOptions) -> Vec<AuditRow> {
             config.faults = faults;
             let trace = TraceConfig { faults, ..TraceConfig::default() };
             primitives[i]
-                .run(config, trials, opts.seed + chunk as u64 * 7919, trace)
+                .run(config, trials, crate::round_seed(opts.seed, chunk), trace)
                 .map_err(|e| format!("{}: {e}", primitives[i].name))
         });
         for (&(i, _, trials), result) in jobs.iter().zip(results) {

@@ -2,7 +2,7 @@
 //! data so the integration tests can assert the paper's shapes and the
 //! `repro` binary can print them.
 
-use crate::{modexp_report, run_modexp_iterations, Scale};
+use crate::{escalate, modexp_report, run_modexp_iterations, Escalation, Scale};
 use microsampler_core::{
     analyze, feature_ordering, feature_uniqueness, AnalysisReport, Analyzer, UniquenessReport,
 };
@@ -120,13 +120,14 @@ pub fn table5(scale: &Scale) -> Vec<Table5Row> {
 /// sweep: the row is quarantined (first run) or annotated (escalation
 /// round) and the remaining 26 audits proceed.
 fn table5_row(analyzer: &Analyzer, prim: &Primitive, scale: &Scale) -> Table5Row {
-    let audit = |trials: usize, seed: u64| {
-        prim.run(CoreConfig::mega_boom(), trials, seed, TraceConfig::default())
-            .map_err(|e| format!("{}: {e}", prim.name))
-    };
-    let first = match audit(scale.primitive_trials, scale.seed) {
-        Ok(first) => first,
+    let escalation =
+        escalate(analyzer, scale.primitive_trials, scale.seed, 4, |_, trials, seed| {
+            prim.run(CoreConfig::mega_boom(), trials, seed, TraceConfig::default())
+        });
+    let Escalation { outcome, functional_ok, error } = match escalation {
+        Ok(escalation) => escalation,
         Err(e) => {
+            let e = format!("{}: {e}", prim.name);
             microsampler_obs::metrics::record("trial.quarantined", 1.0);
             crate::sweep::record_event(crate::sweep::TrialEvent {
                 id: format!("table5/{}", prim.name),
@@ -147,22 +148,6 @@ fn table5_row(analyzer: &Analyzer, prim: &Primitive, scale: &Scale) -> Table5Row
             };
         }
     };
-    let mut functional_ok = first.functional_ok;
-    let mut escalation_error = None;
-    let outcome = analyzer.analyze_with_escalation(first.result.iterations, 4, |round| {
-        match audit(scale.primitive_trials * 2, scale.seed + round as u64 * 7919) {
-            Ok(extra) => {
-                functional_ok &= extra.functional_ok;
-                extra.result.iterations
-            }
-            Err(e) => {
-                escalation_error = Some(format!("escalation round {round}: {e}"));
-                // An empty batch stops the escalation loop; the verdict
-                // from the iterations gathered so far stands.
-                Vec::new()
-            }
-        }
-    });
     let max_v = outcome.report.units.iter().map(|u| u.assoc.cramers_v).fold(0.0f64, f64::max);
     Table5Row {
         name: prim.name.to_owned(),
@@ -172,7 +157,7 @@ fn table5_row(analyzer: &Analyzer, prim: &Primitive, scale: &Scale) -> Table5Row
         escalation_rounds: outcome.rounds,
         ipc: outcome.report.pipeline.ipc(),
         dominant_stall: outcome.report.pipeline.dominant_stall().map(|(name, _)| name.to_owned()),
-        error: escalation_error,
+        error: error.map(|(round, e)| format!("escalation round {round}: {}: {e}", prim.name)),
     }
 }
 
@@ -466,12 +451,9 @@ pub fn fig10(scale: &Scale) -> Fig10 {
     let equal_pc = program.symbol_addr("equal_fn");
     let inequal_pc = program.symbol_addr("inequal_fn");
     let config = CoreConfig::mega_boom().with_random_bpred(scale.seed | 1);
-    let (result, outputs) = MemcmpKernel
-        .run_with_outputs(config, &trials, TraceConfig::default())
-        .expect("memcmp runs");
-    for (t, &o) in trials.iter().zip(&outputs) {
-        assert_eq!(o, MemcmpKernel.reference(t), "memcmp functional check");
-    }
+    let outcome = MemcmpKernel.run(config, &trials, TraceConfig::default()).expect("memcmp runs");
+    assert!(outcome.functional_ok, "memcmp functional check");
+    let result = outcome.result;
     let mut patterns = CallPatterns::default();
     for it in &result.iterations {
         let f = &it.unit(UnitId::RobPc).features;

@@ -14,8 +14,9 @@ pub mod lint;
 pub mod serve;
 pub mod sweep;
 
-use microsampler_core::{analyze, AnalysisReport};
-use microsampler_kernels::modexp::ModexpVariant;
+use microsampler_core::{analyze, AnalysisReport, Analyzer, EscalationOutcome};
+use microsampler_kernels::batch::BatchOutcome;
+use microsampler_kernels::modexp::{ModexpError, ModexpVariant};
 use microsampler_sim::{CoreConfig, IterationTrace};
 
 /// Scale parameters shared by the experiments.
@@ -84,6 +85,61 @@ pub fn modexp_report(
     seed: u64,
 ) -> AnalysisReport {
     analyze(&run_modexp_iterations(variant, config, n_keys, key_bytes, seed))
+}
+
+/// The input seed of escalation round (or sequential-audit chunk)
+/// `round`: `seed + round·7919`. Every round draws fresh inputs, and
+/// re-runs reproduce them.
+pub fn round_seed(seed: u64, round: usize) -> u64 {
+    seed + round as u64 * 7919
+}
+
+/// One run of Table V's escalation protocol ([`escalate`]).
+#[derive(Clone, Debug)]
+pub struct Escalation {
+    /// The final analysis and the escalation rounds it took.
+    pub outcome: EscalationOutcome,
+    /// Whether every batch matched its reference model.
+    pub functional_ok: bool,
+    /// The escalation round that failed, with its error. The verdict
+    /// from the batches gathered before it stands.
+    pub error: Option<(usize, ModexpError)>,
+}
+
+/// Table V's escalation protocol (paper §VII-D). Round 0 runs `trials`
+/// at `seed`. While an association is strong but not yet significant,
+/// round `r` (at most `max_rounds` of them) adds `2·trials` more at
+/// [`round_seed`]`(seed, r)`. `run(round, trials, seed)` simulates one
+/// batch.
+///
+/// # Errors
+///
+/// Returns round 0's error. A later round's error ends the escalation
+/// and lands in [`Escalation::error`].
+pub fn escalate(
+    analyzer: &Analyzer,
+    trials: usize,
+    seed: u64,
+    max_rounds: usize,
+    mut run: impl FnMut(usize, usize, u64) -> Result<BatchOutcome, ModexpError>,
+) -> Result<Escalation, ModexpError> {
+    let first = run(0, trials, seed)?;
+    let mut functional_ok = first.functional_ok;
+    let mut error = None;
+    let outcome = analyzer.analyze_with_escalation(first.result.iterations, max_rounds, |round| {
+        match run(round, trials * 2, round_seed(seed, round)) {
+            Ok(extra) => {
+                functional_ok &= extra.functional_ok;
+                extra.result.iterations
+            }
+            Err(e) => {
+                error = Some((round, e));
+                // An empty batch stops the escalation loop.
+                Vec::new()
+            }
+        }
+    });
+    Ok(Escalation { outcome, functional_ok, error })
 }
 
 /// Prints a paper-style horizontal bar chart of per-unit Cramér's V.

@@ -4,7 +4,7 @@
 //! a speculative dimension that checks CT-SPEC findings against runs
 //! driven with adversarial predictor state and spurious-squash plans.
 
-use crate::Scale;
+use crate::{escalate, Escalation, Scale};
 use microsampler_core::{Analyzer, CrossReport, CrossRow, TraceConfig};
 use microsampler_ct::{analyze_program_opts, AnalyzeOptions, SpecModel, StaticReport};
 use microsampler_isa::asm::assemble;
@@ -25,25 +25,44 @@ pub struct LintResult {
     pub text_base: u64,
 }
 
+/// One lint target: a Table V primitive or a seeded-leaky fixture.
+enum Target {
+    Primitive(Primitive),
+    Fixture(fixtures::LeakyFixture),
+}
+
+impl Target {
+    fn name(&self) -> &'static str {
+        match self {
+            Target::Primitive(p) => p.name,
+            Target::Fixture(f) => f.name,
+        }
+    }
+
+    fn lint(&self, spec: SpecModel) -> LintResult {
+        let (source, secrets) = match self {
+            Target::Primitive(p) => (p.source(), p.secret_spec()),
+            Target::Fixture(f) => (f.source.to_owned(), f.spec.clone()),
+        };
+        let program = assemble(&source).unwrap_or_else(|e| panic!("{}: {e}", self.name()));
+        let opts = AnalyzeOptions { spec, ..Default::default() };
+        let report = analyze_program_opts(self.name(), &program, &secrets, &opts);
+        LintResult { name: self.name().to_owned(), report, text_base: program.text_base }
+    }
+}
+
+/// The default targets: the 27 Table V primitives, then the seeded-leaky
+/// fixtures.
+fn targets() -> Vec<Target> {
+    let primitives = Primitive::all().into_iter().map(Target::Primitive);
+    primitives.chain(fixtures::all().into_iter().map(Target::Fixture)).collect()
+}
+
 /// Every name `repro lint <name>` accepts: the 27 Table V primitives
 /// followed by the seeded-leaky fixtures. (The CI gate self-test fixture
 /// resolves by name but is deliberately not a default target.)
 pub fn lint_targets() -> Vec<&'static str> {
-    Primitive::all().iter().map(|p| p.name).chain(fixtures::all().iter().map(|f| f.name)).collect()
-}
-
-fn lint_primitive(p: &Primitive, spec: SpecModel) -> LintResult {
-    let program = assemble(&p.source()).unwrap_or_else(|e| panic!("{}: {e}", p.name));
-    let opts = AnalyzeOptions { spec, ..Default::default() };
-    let report = analyze_program_opts(p.name, &program, &p.secret_spec(), &opts);
-    LintResult { name: p.name.to_owned(), report, text_base: program.text_base }
-}
-
-fn lint_fixture(f: &fixtures::LeakyFixture, spec: SpecModel) -> LintResult {
-    let program = assemble(f.source).unwrap_or_else(|e| panic!("{}: {e}", f.name));
-    let opts = AnalyzeOptions { spec, ..Default::default() };
-    let report = analyze_program_opts(f.name, &program, &f.spec, &opts);
-    LintResult { name: f.name.to_owned(), report, text_base: program.text_base }
+    targets().iter().map(Target::name).collect()
 }
 
 /// Statically analyzes one kernel by name (primitive or fixture,
@@ -56,10 +75,8 @@ pub fn lint_one(name: &str) -> Option<LintResult> {
 /// [`lint_one`] with an explicit speculation model (`--spec-depth` /
 /// `--no-spec`).
 pub fn lint_one_with(name: &str, spec: SpecModel) -> Option<LintResult> {
-    if let Some(p) = Primitive::all().iter().find(|p| p.name == name) {
-        return Some(lint_primitive(p, spec));
-    }
-    fixtures::by_name(name).map(|f| lint_fixture(&f, spec))
+    let selftest = Target::Fixture(fixtures::gate_selftest());
+    targets().into_iter().chain([selftest]).find(|t| t.name() == name).map(|t| t.lint(spec))
 }
 
 /// Statically analyzes every primitive and fixture, in [`lint_targets`]
@@ -70,11 +87,7 @@ pub fn lint_static_all() -> Vec<LintResult> {
 
 /// [`lint_static_all`] with an explicit speculation model.
 pub fn lint_static_all_with(spec: SpecModel) -> Vec<LintResult> {
-    let primitives = Primitive::all();
-    let fixture_list = fixtures::all();
-    let mut out: Vec<LintResult> = primitives.iter().map(|p| lint_primitive(p, spec)).collect();
-    out.extend(fixture_list.iter().map(|f| lint_fixture(f, spec)));
-    out
+    targets().iter().map(|t| t.lint(spec)).collect()
 }
 
 /// The adversarial-speculation configuration the speculative crossval
@@ -93,102 +106,57 @@ fn adversarial_config(seed: u64) -> CoreConfig {
 /// Cross-validates the static verdicts against the dynamic audit over
 /// the 27 Table V primitives and the seeded-leaky fixtures.
 ///
-/// Every kernel gets two dynamic audits: one under the paper's MegaBoom
-/// configuration (the architectural dimension, reusing Table V's
-/// escalation protocol so verdicts match `repro table5` at the same
-/// scale) and one under an adversarial configuration — polarized gshare
-/// initial state plus a spurious-squash fault plan (the speculative
-/// dimension, cross-checked against static CT-SPEC findings). Kernels
-/// fan out across the worker pool; rows come back in table order.
+/// Every kernel gets two dynamic audits, both under Table V's
+/// escalation protocol ([`escalate`]): one under the paper's MegaBoom
+/// configuration (the architectural dimension; for the primitives its
+/// verdicts and Cramér's V match `repro table5` at the same scale) and
+/// one under an adversarial configuration — polarized gshare initial
+/// state plus a spurious-squash fault plan, re-seeded per round (the
+/// speculative dimension, cross-checked against static CT-SPEC
+/// findings). Kernels fan out across the worker pool; rows come back in
+/// table order.
+///
+/// # Panics
+///
+/// Panics naming the kernel if any of its runs fails to assemble or
+/// simulate.
 pub fn lint_crossval(statics: &[LintResult], scale: &Scale) -> CrossReport {
     let analyzer = Analyzer::new();
-    let primitives = Primitive::all();
-    let fixture_list = fixtures::all();
-    let total = primitives.len() + fixture_list.len();
+    let targets = targets();
     let done = std::sync::atomic::AtomicUsize::new(0);
-    let static_for = |name: &str| -> &StaticReport {
-        statics
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| &r.report)
-            .unwrap_or_else(|| panic!("no static report for {name}"))
-    };
-    let tick = || {
-        let finished = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-        diag::progress("lint-crossval", finished, total);
-    };
-    let mut rows = microsampler_par::map(&primitives, |_, prim| {
-        let first = prim
-            .run(
-                CoreConfig::mega_boom(),
-                scale.primitive_trials,
-                scale.seed,
-                TraceConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", prim.name));
-        let outcome = analyzer.analyze_with_escalation(first.result.iterations, 4, |round| {
-            prim.run(
-                CoreConfig::mega_boom(),
-                scale.primitive_trials * 2,
-                scale.seed + round as u64 * 7919,
-                TraceConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", prim.name))
-            .result
-            .iterations
-        });
-        let adv = prim
-            .run(
-                adversarial_config(scale.seed),
-                scale.primitive_trials,
-                scale.seed,
-                TraceConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", prim.name));
-        let adv_outcome = analyzer.analyze_with_escalation(adv.result.iterations, 2, |round| {
-            prim.run(
-                adversarial_config(scale.seed + round as u64),
-                scale.primitive_trials * 2,
-                scale.seed + round as u64 * 7919,
-                TraceConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", prim.name))
-            .result
-            .iterations
-        });
-        let stat = static_for(prim.name);
-        tick();
-        CrossRow::new(prim.name, stat.has_architectural_violations(), &outcome.report)
-            .with_spec(stat.has_transient_violations(), &adv_outcome.report)
-    });
-    rows.extend(microsampler_par::map(&fixture_list, |_, f| {
-        let run = |config: CoreConfig, trials: u64, seed: u64| {
-            fixtures::run_fixture(f, config, trials, seed, TraceConfig::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", f.name))
-                .iterations
+    let rows = microsampler_par::map(&targets, |_, target| {
+        let audit = |rounds: usize, config: &dyn Fn(usize) -> CoreConfig| {
+            let trace = TraceConfig::default();
+            let run = |round: usize, trials: usize, seed: u64| match target {
+                Target::Primitive(p) => p.run(config(round), trials, seed, trace),
+                Target::Fixture(f) => {
+                    fixtures::run_fixture(f, config(round), trials as u64, seed, trace)
+                }
+            };
+            match escalate(&analyzer, scale.primitive_trials, scale.seed, rounds, run) {
+                Ok(Escalation { outcome, error: None, .. }) => outcome.report,
+                Ok(Escalation { error: Some((_, e)), .. }) | Err(e) => {
+                    panic!("{}: {e}", target.name())
+                }
+            }
         };
-        let trials = scale.primitive_trials as u64;
-        let arch = analyzer.analyze_with_escalation(
-            run(CoreConfig::mega_boom(), trials, scale.seed),
-            2,
-            |round| run(CoreConfig::mega_boom(), trials * 2, scale.seed + round as u64 * 7919),
-        );
-        let adv = analyzer.analyze_with_escalation(
-            run(adversarial_config(scale.seed), trials, scale.seed),
-            2,
-            |round| {
-                run(
-                    adversarial_config(scale.seed + round as u64),
-                    trials * 2,
-                    scale.seed + round as u64 * 7919,
-                )
-            },
-        );
-        let stat = static_for(f.name);
-        tick();
-        CrossRow::new(f.name, stat.has_architectural_violations(), &arch.report)
-            .with_spec(stat.has_transient_violations(), &adv.report)
-    }));
+        // Escalation rounds: the primitives keep Table V's four.
+        let (arch_rounds, adv_rounds) = match target {
+            Target::Primitive(_) => (4, 2),
+            Target::Fixture(_) => (2, 2),
+        };
+        let arch = audit(arch_rounds, &|_| CoreConfig::mega_boom());
+        let adv = audit(adv_rounds, &|round| adversarial_config(scale.seed + round as u64));
+        let stat = &statics
+            .iter()
+            .find(|r| r.name == target.name())
+            .unwrap_or_else(|| panic!("no static report for {}", target.name()))
+            .report;
+        let finished = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+        diag::progress("lint-crossval", finished, targets.len());
+        CrossRow::new(target.name(), stat.has_architectural_violations(), &arch)
+            .with_spec(stat.has_transient_violations(), &adv)
+    });
     CrossReport { rows }
 }
 

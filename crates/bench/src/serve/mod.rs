@@ -134,6 +134,17 @@ impl ServeState {
         let wal_path = opts.state_dir.join("serve-wal.jsonl");
         let replay = recovery::replay_wal(&wal_path)?;
         let mut wal = WalWriter::open(&wal_path)?;
+        // Compact away finished-job history up front: the recovered
+        // pending set is exactly what the WAL needs to carry.
+        let recovered: Vec<Arc<JobHandle>> = replay
+            .pending
+            .iter()
+            .map(|p| Arc::new(JobHandle::new(p.seq, &p.client, p.spec.clone(), true)))
+            .collect();
+        let keep: Vec<Value> = recovered.iter().map(|h| queue::submitted_event(h)).collect();
+        if let Err(e) = wal.compact(&keep) {
+            diag_warn!("serve WAL compaction failed (continuing uncompacted): {e}");
+        }
         let state = ServeState {
             next_seq: AtomicU64::new(replay.next_seq),
             opts,
@@ -142,23 +153,13 @@ impl ServeState {
             jobs: Mutex::new(BTreeMap::new()),
             inflight: Mutex::new(BTreeMap::new()),
             outstanding: AtomicUsize::new(0),
-            wal: Mutex::new(WalWriter::open(&wal_path)?),
+            wal: Mutex::new(wal),
             shutting_down: AtomicBool::new(false),
         };
-        // Compact away finished-job history up front: the recovered
-        // pending set is exactly what the WAL needs to carry.
-        let mut keep = Vec::new();
-        for pending in &replay.pending {
-            let handle =
-                Arc::new(JobHandle::new(pending.seq, &pending.client, pending.spec.clone(), true));
-            keep.push(queue::submitted_event(&handle));
+        for handle in &recovered {
             diag_info!("serve: recovered unfinished job {} from the WAL", handle.id);
-            state.enqueue(&handle);
+            state.enqueue(handle);
         }
-        if let Err(e) = wal.compact(&keep) {
-            diag_warn!("serve WAL compaction failed (continuing uncompacted): {e}");
-        }
-        *state.wal.lock().unwrap_or_else(|p| p.into_inner()) = wal;
         Ok(Arc::new(state))
     }
 

@@ -13,13 +13,14 @@
 //!    resumes from that journal and is therefore bit-identical to an
 //!    uninterrupted run.
 //!
-//! Like the trial journal loader, replay tolerates exactly one torn
+//! Replay shares the trial journal loader's torn-tail reader
+//! ([`crate::sweep::load_journal`]): it tolerates exactly one torn
 //! trailing line (a `kill -9` mid-append leaves a partial record with no
 //! trailing newline); malformed newline-terminated lines are corruption
 //! and abort the replay.
 
 use super::queue::{JobSpec, WAL_SCHEMA};
-use microsampler_obs::{diag_warn, json, Value};
+use microsampler_obs::{json, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -62,29 +63,10 @@ pub fn replay_wal(path: &Path) -> Result<WalReplay, String> {
     };
     let mut replay = WalReplay::default();
     let mut live: BTreeMap<String, PendingJob> = BTreeMap::new();
-    let last_idx = text.lines().count().saturating_sub(1);
-    let torn_tail_possible = !text.is_empty() && !text.ends_with('\n');
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match replay_line(line, &mut live, &mut replay.next_seq) {
-            Ok(()) => {}
-            Err(msg) if torn_tail_possible && idx == last_idx => {
-                diag_warn!(
-                    "serve WAL {} line {}: skipping torn trailing record \
-                     (crash mid-append?): {msg}",
-                    path.display(),
-                    idx + 1
-                );
-                replay.skipped_torn = true;
-            }
-            Err(msg) => {
-                return Err(format!("serve WAL {} line {}: {msg}", path.display(), idx + 1))
-            }
-        }
-    }
+    let what = format!("serve WAL {}", path.display());
+    replay.skipped_torn = crate::sweep::for_each_record(&text, &what, |line| {
+        replay_line(line, &mut live, &mut replay.next_seq)
+    })?;
     let mut pending: Vec<PendingJob> = live.into_values().collect();
     pending.sort_by_key(|j| j.seq);
     replay.pending = pending;

@@ -366,28 +366,42 @@ pub fn load_journal(path: &Path) -> Result<JournalState, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
     let mut state = JournalState::default();
+    let what = format!("journal {}", path.display());
+    for_each_record(&text, &what, |line| parse_journal_line(line, &mut state))?;
+    Ok(state)
+}
+
+/// Applies `apply` to every non-blank line of the JSONL `text`, the one
+/// torn-tail rule shared by the trial journal and the serve WAL. A
+/// failing final line with no trailing newline is a torn append: it is
+/// skipped with a warning, and the result is `Ok(true)`. Any other
+/// failing line is an error naming `what` and the line number.
+pub(crate) fn for_each_record(
+    text: &str,
+    what: &str,
+    mut apply: impl FnMut(&str) -> Result<(), String>,
+) -> Result<bool, String> {
     let last_idx = text.lines().count().saturating_sub(1);
     let torn_tail_possible = !text.is_empty() && !text.ends_with('\n');
+    let mut skipped_torn = false;
     for (idx, line) in text.lines().enumerate() {
-        let context = |msg: String| format!("journal {} line {}: {msg}", path.display(), idx + 1);
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        match parse_journal_line(line, &mut state) {
+        match apply(line) {
             Ok(()) => {}
             Err(msg) if torn_tail_possible && idx == last_idx => {
                 diag_warn!(
-                    "journal {} line {}: skipping torn trailing record \
-                     (crash mid-append?): {msg}",
-                    path.display(),
+                    "{what} line {}: skipping torn trailing record (crash mid-append?): {msg}",
                     idx + 1
                 );
+                skipped_torn = true;
             }
-            Err(msg) => return Err(context(msg)),
+            Err(msg) => return Err(format!("{what} line {}: {msg}", idx + 1)),
         }
     }
-    Ok(state)
+    Ok(skipped_torn)
 }
 
 /// Parses and applies one journal line to `state`.
@@ -469,29 +483,11 @@ fn compact_torn_tail(path: &Path) {
     }
 }
 
-/// Key-count look points for a sequential sweep over `n_keys` keys:
-/// doubling boundaries from `max(n_keys/8, 1)`, always ending at
-/// `n_keys`. An early-stop run and a full-budget run therefore share
-/// the same look prefix, which is what makes the verdict-identity
-/// guarantee checkable.
-pub fn look_points(n_keys: usize) -> Vec<usize> {
-    let mut points = Vec::new();
-    if n_keys == 0 {
-        return points;
-    }
-    let mut bound = (n_keys / 8).max(1);
-    while bound < n_keys {
-        points.push(bound);
-        bound *= 2;
-    }
-    points.push(n_keys);
-    points
-}
-
 /// Deterministic pooled-budget allocator for the sequential audit
 /// (`repro audit`): hands each still-undecided item doubling trial
 /// chunks out of a shared pool, so budget freed by early-stopped items
-/// reflows to the borderline ones.
+/// reflows to the borderline ones. With a single item its cumulative
+/// grants are the sequential modexp sweep's look schedule.
 ///
 /// Grants depend only on `(n_items, per_item)` and the sequence of
 /// [`retire`](AdaptiveAllocator::retire) calls between rounds — never on
@@ -805,9 +801,16 @@ pub fn run_modexp_sweep(
         }
         Some(cfg) => {
             let mut analyzer = SequentialAnalyzer::new(cfg);
+            // One item's cumulative grants are the look schedule: doubling
+            // key counts from `max(n_keys/8, 1)`, always ending at
+            // `n_keys`. An early-stop run and a full-budget run share the
+            // same look prefix, which is what makes the verdict-identity
+            // guarantee checkable.
+            let mut looks = AdaptiveAllocator::new(1, n_keys);
             let mut next_key = 0usize;
             let mut interrupted = false;
-            for bound in look_points(n_keys) {
+            while let grant @ 1.. = looks.round()[0] {
+                let bound = next_key + grant;
                 let segment: Vec<usize> =
                     (next_key..bound).filter(|i| !restored.contains_key(i)).collect();
                 let outcomes =
@@ -1259,6 +1262,18 @@ mod tests {
 
     #[test]
     fn look_points_double_and_always_cover_the_budget() {
+        // The sequential sweep's look schedule: one item's cumulative
+        // grants.
+        let look_points = |n_keys: usize| {
+            let mut looks = AdaptiveAllocator::new(1, n_keys);
+            let mut bound = 0;
+            let mut points = Vec::new();
+            while let grant @ 1.. = looks.round()[0] {
+                bound += grant;
+                points.push(bound);
+            }
+            points
+        };
         assert_eq!(look_points(96), vec![12, 24, 48, 96]);
         assert_eq!(look_points(16), vec![2, 4, 8, 16]);
         assert_eq!(look_points(27), vec![3, 6, 12, 24, 27]);

@@ -6,9 +6,10 @@
 //! the real kernels). The static pass must flag every fixture; the
 //! Table V primitives must stay clean.
 
+use crate::batch::{Batch, BatchOutcome};
+use crate::modexp::ModexpError;
 use crate::secrets::SecretSpec;
-use microsampler_isa::asm::assemble;
-use microsampler_sim::{CoreConfig, Machine, RunResult, SimError, TraceConfig};
+use microsampler_sim::{CoreConfig, TraceConfig};
 
 /// A deliberately leaky kernel with its expected static finding.
 pub struct LeakyFixture {
@@ -98,22 +99,31 @@ pub const FIXTURE_LABELS: [u64; 4] = [0x05, 0x1a, 0x27, 0x38];
 ///
 /// Unlike the Table V primitive drivers there is no warm-up drain — for
 /// the transient fixtures the first mispredict in each fresh predictor
-/// history context *is* the signal, so every iteration is kept.
+/// history context *is* the signal, so every iteration is kept. The
+/// fixtures have no reference model, so the batch runs unchecked.
+///
+/// # Errors
+///
+/// Propagates assembler and simulator errors.
 pub fn run_fixture(
     f: &LeakyFixture,
     config: CoreConfig,
     trials: u64,
     seed: u64,
     trace: TraceConfig,
-) -> Result<RunResult, SimError> {
-    let program = assemble(f.source).expect("fixture sources assemble");
-    let mut m = Machine::with_trace_config(config, &program, trace);
-    let mut words = vec![trials];
-    words.extend(
+) -> Result<BatchOutcome, ModexpError> {
+    let mut inputs = vec![trials];
+    inputs.extend(
         (0..trials).map(|i| FIXTURE_LABELS[((i + seed) % FIXTURE_LABELS.len() as u64) as usize]),
     );
-    m.push_inputs(words);
-    m.run(4_000_000 + trials * 50_000)
+    Batch {
+        memory: Vec::new(),
+        inputs,
+        expected: None,
+        warmup: 0,
+        cycle_budget: 4_000_000 + trials * 50_000,
+    }
+    .run(f.source, config, trace)
 }
 
 /// Early-exit byte compare against a secret key in `.data`: the `bne` on
@@ -376,12 +386,15 @@ mod tests {
     #[test]
     fn fixtures_assemble_and_run() {
         for f in all().into_iter().chain(std::iter::once(gate_selftest())) {
-            let program = assemble(f.source).unwrap_or_else(|e| panic!("{}: {e}", f.name));
+            let program = microsampler_isa::asm::assemble(f.source)
+                .unwrap_or_else(|e| panic!("{}: {e}", f.name));
             f.spec.resolve(&program); // symbol references hold
             let trials = 4u64;
-            let r = run_fixture(&f, CoreConfig::small_boom(), trials, 0, TraceConfig::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", f.name));
-            assert_eq!(r.iterations.len(), trials as usize, "{}", f.name);
+            let outcome =
+                run_fixture(&f, CoreConfig::small_boom(), trials, 0, TraceConfig::default())
+                    .unwrap_or_else(|e| panic!("{}: {e}", f.name));
+            assert!(outcome.functional_ok, "{}: unchecked batches pass", f.name);
+            assert_eq!(outcome.result.iterations.len(), trials as usize, "{}", f.name);
         }
     }
 

@@ -25,8 +25,11 @@
 //!   violation class.
 //!
 //! Each kernel pairs its assembly with a Rust reference model; functional
-//! tests run both and require exact agreement.
+//! tests run both and require exact agreement. The table-style kernels
+//! (everything but [`modexp`]) stage their trials for the one [`batch`]
+//! driver, which runs them and checks the outputs against the model.
 
+pub mod batch;
 pub mod fixtures;
 pub mod inputs;
 pub mod memcmp;

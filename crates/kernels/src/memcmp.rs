@@ -17,11 +17,12 @@
 //! return whose partial result transiently steers the Listing-8 branch —
 //! happens *inside* the sampled window and shows up in the ROB-PC trace.
 
+use crate::batch::{Batch, BatchOutcome};
 use crate::inputs::{pack_words, MemcmpTrial};
 use crate::modexp::ModexpError;
 use microsampler_isa::asm::assemble;
 use microsampler_isa::Program;
-use microsampler_sim::{CoreConfig, Machine, RunResult, TraceConfig};
+use microsampler_sim::{CoreConfig, TraceConfig};
 
 /// Assembly of the CT-MEM-CMP case study.
 pub const CT_MEMCMP_SOURCE: &str = r#"
@@ -121,7 +122,9 @@ impl MemcmpKernel {
         Ok(assemble(CT_MEMCMP_SOURCE)?)
     }
 
-    /// Runs `trials` on `config`. Each trial becomes one labeled iteration.
+    /// Runs `trials` on `config`. Each trial becomes one labeled
+    /// iteration, and each taken path (0 = `equal`, 1 = `inequal`) is
+    /// checked against [`MemcmpKernel::reference`].
     ///
     /// # Errors
     ///
@@ -131,34 +134,21 @@ impl MemcmpKernel {
         config: CoreConfig,
         trials: &[MemcmpTrial],
         trace: TraceConfig,
-    ) -> Result<RunResult, ModexpError> {
-        self.run_with_outputs(config, trials, trace).map(|(result, _)| result)
-    }
-
-    /// Runs and also returns the per-trial taken paths (0 = `equal`,
-    /// 1 = `inequal`) for functional verification.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assembler and simulator errors.
-    pub fn run_with_outputs(
-        &self,
-        config: CoreConfig,
-        trials: &[MemcmpTrial],
-        trace: TraceConfig,
-    ) -> Result<(RunResult, Vec<u64>), ModexpError> {
-        let program = self.program()?;
-        let mut machine = Machine::with_trace_config(config, &program, trace);
-        let mut words = vec![trials.len() as u64];
+    ) -> Result<BatchOutcome, ModexpError> {
+        let mut inputs = vec![trials.len() as u64];
         for t in trials {
-            words.extend(pack_words(&t.a));
-            words.extend(pack_words(&t.b));
-            words.push(t.label);
+            inputs.extend(pack_words(&t.a));
+            inputs.extend(pack_words(&t.b));
+            inputs.push(t.label);
         }
-        machine.push_inputs(words);
-        let result = machine.run(1_000_000 + trials.len() as u64 * 40_000)?;
-        let outputs = machine.take_outputs();
-        Ok((result, outputs))
+        Batch {
+            memory: Vec::new(),
+            inputs,
+            expected: Some(trials.iter().map(|t| self.reference(t)).collect()),
+            warmup: 0,
+            cycle_budget: 1_000_000 + trials.len() as u64 * 40_000,
+        }
+        .run(CT_MEMCMP_SOURCE, config, trace)
     }
 
     /// Reference: 0 when the buffers are equal, nonzero otherwise (the
@@ -183,15 +173,11 @@ mod tests {
     #[test]
     fn paths_match_reference() {
         let trials = memcmp_trials(12, 3);
-        let (result, outputs) = MemcmpKernel
-            .run_with_outputs(CoreConfig::mega_boom(), &trials, TraceConfig::default())
-            .unwrap();
-        assert_eq!(outputs.len(), trials.len());
-        for (t, &path) in trials.iter().zip(&outputs) {
-            assert_eq!(path, MemcmpKernel.reference(t), "trial {t:?}");
-        }
-        assert_eq!(result.iterations.len(), trials.len());
-        for (t, iter) in trials.iter().zip(&result.iterations) {
+        let outcome =
+            MemcmpKernel.run(CoreConfig::mega_boom(), &trials, TraceConfig::default()).unwrap();
+        assert!(outcome.functional_ok, "taken paths diverged from the reference");
+        assert_eq!(outcome.result.iterations.len(), trials.len());
+        for (t, iter) in trials.iter().zip(&outcome.result.iterations) {
             assert_eq!(iter.label, t.label);
         }
     }
@@ -206,9 +192,10 @@ mod tests {
         let p = MemcmpKernel.program().unwrap();
         let equal_pc = p.symbol_addr("equal_fn");
         let inequal_pc = p.symbol_addr("inequal_fn");
-        let result =
+        let outcome =
             MemcmpKernel.run(CoreConfig::mega_boom(), &trials, TraceConfig::default()).unwrap();
-        let windows_with_calls = result
+        let windows_with_calls = outcome
+            .result
             .iterations
             .iter()
             .filter(|it| {

@@ -5,13 +5,14 @@
 //! assembly following OpenSSL's `constant_time_*` mask arithmetic, plus a
 //! trial driver that streams inputs through the input CSR so traces stay
 //! position-independent. Every primitive carries a Rust reference model;
-//! [`Primitive::run`] verifies functional agreement while collecting the
+//! [`Primitive::run`] stages its trials for the shared [`crate::batch`]
+//! driver, which verifies functional agreement while collecting the
 //! labeled iteration traces for leakage analysis.
 
+use crate::batch::{Batch, BatchOutcome};
 use crate::modexp::ModexpError;
 use crate::secrets::SecretSpec;
-use microsampler_isa::asm::assemble;
-use microsampler_sim::{CoreConfig, Machine, RunResult, TraceConfig};
+use microsampler_sim::{CoreConfig, TraceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,15 +48,6 @@ impl std::fmt::Debug for Primitive {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Primitive").field("name", &self.name).finish()
     }
-}
-
-/// The outcome of running one primitive's trial batch.
-#[derive(Clone, Debug)]
-pub struct PrimitiveOutcome {
-    /// Simulation result with labeled iteration traces.
-    pub result: RunResult,
-    /// Whether every trial's outputs matched the reference model.
-    pub functional_ok: bool,
 }
 
 /// Number of leading trials run to warm caches, TLB and predictors; their
@@ -287,137 +279,76 @@ impl Primitive {
         trials: usize,
         seed: u64,
         trace: TraceConfig,
-    ) -> Result<PrimitiveOutcome, ModexpError> {
-        match &self.kind {
+    ) -> Result<BatchOutcome, ModexpError> {
+        self.batch(trials, seed).run(&self.source(), config, trace)
+    }
+
+    /// Stages `WARMUP_TRIALS + trials` trials drawn from `seed`: the
+    /// input words, the reference outputs and the cycle budget.
+    fn batch(&self, trials: usize, seed: u64) -> Batch {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let total = WARMUP_TRIALS + trials;
+        let mut words = Vec::new();
+        let mut expected = Vec::new();
+        let cycles_per_trial = match &self.kind {
             Kind::Scalar { gen, reference, .. } => {
-                self.run_scalar(config, trials, seed, trace, *gen, *reference)
+                words.push(total as u64);
+                for _ in 0..total {
+                    let (inputs, label) = gen(&mut rng);
+                    words.extend(inputs);
+                    words.push(label);
+                    let (r0, r1) = reference(inputs);
+                    expected.extend([r0, r1]);
+                }
+                20_000
             }
             Kind::BigNum { gen, reference, .. } => {
-                self.run_bignum(config, trials, seed, trace, *gen, *reference)
+                words.push(total as u64);
+                for _ in 0..total {
+                    let (a, b, label) = gen(&mut rng);
+                    words.extend(a);
+                    words.extend(b);
+                    words.push(label);
+                    expected.push(reference(&a, &b));
+                }
+                30_000
             }
-            Kind::SwapBuff => self.run_swap_buff(config, trials, seed, trace),
-            Kind::Lookup => self.run_lookup(config, trials, seed, trace),
+            Kind::SwapBuff => {
+                words.push(total as u64);
+                for _ in 0..total {
+                    let do_swap: bool = rng.gen();
+                    let a: [u64; 4] = rng.gen();
+                    let b: [u64; 4] = rng.gen();
+                    words.extend(a);
+                    words.extend(b);
+                    words.push(mask64(do_swap));
+                    words.push(do_swap as u64); // label
+                    let (ea, eb) = if do_swap { (b, a) } else { (a, b) };
+                    expected.extend(ea);
+                    expected.extend(eb);
+                }
+                30_000
+            }
+            Kind::Lookup => {
+                // The (public) table is staged once, ahead of the trials.
+                let table: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
+                words.extend(&table);
+                words.push(total as u64);
+                for _ in 0..total {
+                    let idx = rng.gen_range(0..16u64);
+                    words.push(idx); // secret index doubles as the label
+                    expected.push(table[idx as usize]);
+                }
+                60_000
+            }
+        };
+        Batch {
+            memory: Vec::new(),
+            inputs: words,
+            expected: Some(expected),
+            warmup: WARMUP_TRIALS,
+            cycle_budget: 500_000 + total as u64 * cycles_per_trial,
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_scalar(
-        &self,
-        config: CoreConfig,
-        trials: usize,
-        seed: u64,
-        trace: TraceConfig,
-        gen: ScalarGen,
-        reference: ScalarRef,
-    ) -> Result<PrimitiveOutcome, ModexpError> {
-        let program = assemble(&self.source())?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let total = WARMUP_TRIALS + trials;
-        let mut words = vec![total as u64];
-        let mut expected = Vec::with_capacity(total * 2);
-        for _ in 0..total {
-            let (inputs, label) = gen(&mut rng);
-            words.extend(inputs);
-            words.push(label);
-            let (r0, r1) = reference(inputs);
-            expected.push(r0);
-            expected.push(r1);
-        }
-        let mut machine = Machine::with_trace_config(config, &program, trace);
-        machine.push_inputs(words);
-        let mut result = machine.run(500_000 + total as u64 * 20_000)?;
-        result.iterations.drain(..WARMUP_TRIALS);
-        let outputs = machine.take_outputs();
-        Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_bignum(
-        &self,
-        config: CoreConfig,
-        trials: usize,
-        seed: u64,
-        trace: TraceConfig,
-        gen: BnGen,
-        reference: BnRef,
-    ) -> Result<PrimitiveOutcome, ModexpError> {
-        let program = assemble(&self.source())?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let total = WARMUP_TRIALS + trials;
-        let mut words = vec![total as u64];
-        let mut expected = Vec::with_capacity(total);
-        for _ in 0..total {
-            let (a, b, label) = gen(&mut rng);
-            words.extend(a);
-            words.extend(b);
-            words.push(label);
-            expected.push(reference(&a, &b));
-        }
-        let mut machine = Machine::with_trace_config(config, &program, trace);
-        machine.push_inputs(words);
-        let mut result = machine.run(500_000 + total as u64 * 30_000)?;
-        result.iterations.drain(..WARMUP_TRIALS);
-        let outputs = machine.take_outputs();
-        Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
-    }
-
-    fn run_swap_buff(
-        &self,
-        config: CoreConfig,
-        trials: usize,
-        seed: u64,
-        trace: TraceConfig,
-    ) -> Result<PrimitiveOutcome, ModexpError> {
-        let program = assemble(&self.source())?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let total = WARMUP_TRIALS + trials;
-        let mut words = vec![total as u64];
-        let mut expected = Vec::with_capacity(total * 8);
-        for _ in 0..total {
-            let do_swap: bool = rng.gen();
-            let a: [u64; 4] = rng.gen();
-            let b: [u64; 4] = rng.gen();
-            words.extend(a);
-            words.extend(b);
-            words.push(mask64(do_swap));
-            words.push(do_swap as u64); // label
-            let (ea, eb) = if do_swap { (b, a) } else { (a, b) };
-            expected.extend(ea);
-            expected.extend(eb);
-        }
-        let mut machine = Machine::with_trace_config(config, &program, trace);
-        machine.push_inputs(words);
-        let mut result = machine.run(500_000 + total as u64 * 30_000)?;
-        result.iterations.drain(..WARMUP_TRIALS);
-        let outputs = machine.take_outputs();
-        Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
-    }
-
-    fn run_lookup(
-        &self,
-        config: CoreConfig,
-        trials: usize,
-        seed: u64,
-        trace: TraceConfig,
-    ) -> Result<PrimitiveOutcome, ModexpError> {
-        let program = assemble(&self.source())?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let table: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
-        let total = WARMUP_TRIALS + trials;
-        let mut words = table.clone();
-        words.push(total as u64);
-        let mut expected = Vec::with_capacity(total);
-        for _ in 0..total {
-            let idx = rng.gen_range(0..16u64);
-            words.push(idx); // secret index doubles as the label
-            expected.push(table[idx as usize]);
-        }
-        let mut machine = Machine::with_trace_config(config, &program, trace);
-        machine.push_inputs(words);
-        let mut result = machine.run(500_000 + total as u64 * 60_000)?;
-        result.iterations.drain(..WARMUP_TRIALS);
-        let outputs = machine.take_outputs();
-        Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
     }
 }
 

@@ -13,9 +13,10 @@
 //! Iterations are labeled with the *cache line* of the secret index
 //! (index / 64, four classes) — the granularity a cache attacker observes.
 
+use crate::batch::{Batch, BatchOutcome};
 use crate::modexp::ModexpError;
-use microsampler_isa::asm::assemble;
-use microsampler_sim::{CoreConfig, Machine, RunResult, TraceConfig};
+use crate::openssl::WARMUP_TRIALS;
+use microsampler_sim::{CoreConfig, TraceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,9 +34,6 @@ pub enum SboxImpl {
 pub struct SboxKernel {
     imp: SboxImpl,
 }
-
-/// Warmup trials excluded from the returned iterations.
-const WARMUP: usize = 8;
 
 impl SboxKernel {
     /// The leaky direct-lookup variant.
@@ -75,8 +73,7 @@ impl SboxKernel {
         trials: usize,
         seed: u64,
         trace: TraceConfig,
-    ) -> Result<(RunResult, bool), ModexpError> {
-        let program = assemble(&self.source())?;
+    ) -> Result<BatchOutcome, ModexpError> {
         let mut rng = StdRng::seed_from_u64(seed);
         // A fixed public substitution table (any permutation works).
         let table: Vec<u8> = {
@@ -86,22 +83,23 @@ impl SboxKernel {
             }
             t
         };
-        let total = WARMUP + trials;
-        let mut words = vec![total as u64];
+        let total = WARMUP_TRIALS + trials;
+        let mut inputs = vec![total as u64];
         let mut expected = Vec::with_capacity(total);
         for _ in 0..total {
             let idx: u8 = rng.gen();
-            words.push(idx as u64);
-            words.push((idx / 64) as u64); // label = cache line touched
+            inputs.push(idx as u64);
+            inputs.push((idx / 64) as u64); // label = cache line touched
             expected.push(table[idx as usize] as u64);
         }
-        let mut machine = Machine::with_trace_config(config, &program, trace);
-        machine.write_mem(program.symbol_addr("sbox"), &table);
-        machine.push_inputs(words);
-        let mut result = machine.run(500_000 + total as u64 * 60_000)?;
-        result.iterations.drain(..WARMUP);
-        let outputs = machine.take_outputs();
-        Ok((result, outputs == expected))
+        Batch {
+            memory: vec![("sbox", table)],
+            inputs,
+            expected: Some(expected),
+            warmup: WARMUP_TRIALS,
+            cycle_budget: 500_000 + total as u64 * 60_000,
+        }
+        .run(&self.source(), config, trace)
     }
 }
 
@@ -166,11 +164,11 @@ mod tests {
     #[test]
     fn both_variants_functionally_correct() {
         for kernel in [SboxKernel::table_lookup(), SboxKernel::constant_time_scan()] {
-            let (result, ok) =
+            let outcome =
                 kernel.run(CoreConfig::mega_boom(), 12, 5, TraceConfig::default()).unwrap();
-            assert!(ok, "{:?} output mismatch", kernel.implementation());
-            assert_eq!(result.iterations.len(), 12);
-            for it in &result.iterations {
+            assert!(outcome.functional_ok, "{:?} output mismatch", kernel.implementation());
+            assert_eq!(outcome.result.iterations.len(), 12);
+            for it in &outcome.result.iterations {
                 assert!(it.label < 4, "labels are cache-line indices");
             }
         }
@@ -178,14 +176,14 @@ mod tests {
 
     #[test]
     fn leaky_variant_touches_distinct_lines_per_class() {
-        let (result, ok) = SboxKernel::table_lookup()
+        let outcome = SboxKernel::table_lookup()
             .run(CoreConfig::mega_boom(), 32, 9, TraceConfig::default())
             .unwrap();
-        assert!(ok);
+        assert!(outcome.functional_ok);
         // The load addresses inside each window must differ by class.
         use std::collections::BTreeMap;
         let mut per_class: BTreeMap<u64, std::collections::BTreeSet<u64>> = BTreeMap::new();
-        for it in &result.iterations {
+        for it in &outcome.result.iterations {
             let lines: std::collections::BTreeSet<u64> =
                 it.unit(UnitId::LqAddr).features.iter().map(|a| a >> 6).collect();
             per_class.entry(it.label).or_default().extend(lines);

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Randomized initial predictor state stands in for the residual
     // predictor contents of a real machine.
     let config = CoreConfig::mega_boom().with_random_bpred(7);
-    let (result, _) = MemcmpKernel.run_with_outputs(config, &trials, TraceConfig::default())?;
+    let result = MemcmpKernel.run(config, &trials, TraceConfig::default())?.result;
 
     let mut pattern_counts = [0usize; 4]; // neither, inequal, equal, both
     for it in &result.iterations {

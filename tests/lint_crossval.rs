@@ -5,6 +5,7 @@
 //! predictor state while keeping the Table V primitives out of the
 //! confirmed cell.
 
+use microsampler_bench::experiments::table5;
 use microsampler_bench::lint::{lint_crossval, lint_one, lint_static_all};
 use microsampler_bench::Scale;
 use microsampler_core::{
@@ -135,4 +136,25 @@ fn speculative_dimension_classifies_every_kernel() {
     let json = report.to_json();
     assert_eq!(json.get("schema").and_then(|v| v.as_str()), Some("microsampler-crossval-v2"));
     assert_eq!(json.get("spec_confirmed").and_then(|v| v.as_u64()), Some(2));
+}
+
+#[test]
+fn architectural_dimension_matches_table5() {
+    // Lint's architectural audit of a primitive is Table V's escalation
+    // protocol, so at one scale it reproduces `repro table5` bit for bit.
+    // At 8 trials several primitives escalate; at 48 none do.
+    for trials in [8, 48] {
+        let scale = Scale { primitive_trials: trials, ..Scale::default() };
+        let rows = table5(&scale);
+        let report = lint_crossval(&lint_static_all(), &scale);
+        assert_eq!(rows.len(), 27);
+        for (row, cross) in rows.iter().zip(&report.rows) {
+            assert_eq!(cross.name, row.name);
+            assert_eq!(cross.max_cramers_v.to_bits(), row.max_v.to_bits(), "{}: max V", row.name);
+            assert_eq!(cross.dynamic_verdict == "leaky", row.leak_identified, "{}", row.name);
+        }
+        if trials == 8 {
+            assert!(rows.iter().any(|r| r.escalation_rounds > 0), "no row escalated");
+        }
+    }
 }

@@ -10,11 +10,11 @@ fn direct_table_lookup_is_flagged_on_the_load_side() {
     // 128 iterations (vs 96 for the clean variant): nearly every secret
     // byte hashes uniquely, so the contingency table needs the extra rows
     // for the load-side association to clear significance.
-    let (result, ok) = SboxKernel::table_lookup()
+    let outcome = SboxKernel::table_lookup()
         .run(CoreConfig::mega_boom(), 128, 3, TraceConfig::default())
         .unwrap();
-    assert!(ok, "functional check");
-    let report = analyze(&result.iterations);
+    assert!(outcome.functional_ok, "functional check");
+    let report = analyze(&outcome.result.iterations);
     assert!(
         report.unit(UnitId::LqAddr).is_leaky(),
         "secret-indexed load addresses must be flagged\n{report}"
@@ -27,16 +27,16 @@ fn direct_table_lookup_is_flagged_on_the_load_side() {
         "no stores, so the store side must stay clean\n{report}"
     );
     // Feature uniqueness recovers the per-line split the attacker exploits.
-    let uniq = feature_uniqueness(&result.iterations, UnitId::LqAddr);
+    let uniq = feature_uniqueness(&outcome.result.iterations, UnitId::LqAddr);
     assert!(uniq.has_unique_features());
 }
 
 #[test]
 fn constant_time_scan_is_clean() {
-    let (result, ok) = SboxKernel::constant_time_scan()
+    let outcome = SboxKernel::constant_time_scan()
         .run(CoreConfig::mega_boom(), 96, 3, TraceConfig::default())
         .unwrap();
-    assert!(ok, "functional check");
-    let report = analyze(&result.iterations);
+    assert!(outcome.functional_ok, "functional check");
+    let report = analyze(&outcome.result.iterations);
     assert!(!report.is_leaky(), "the scan variant must be clean\n{report}");
 }
